@@ -45,6 +45,7 @@ from .resolution import (
     betti,
     betti_closed_form,
     build_resolution,
+    check_field_char,
     dstab,
     pd_computed,
     pd_formula,
@@ -273,6 +274,8 @@ def _paths_consistent(morse: MorseComplex) -> bool:
 
 def _verify_section(og, r, cap, chars, threads, skip_large: bool, complex=None):
     """Run the verification battery; returns (section dict, all_passed)."""
+    for char in chars:
+        check_field_char(char)  # before any check runs, not after most
     checks: dict[str, str] = {}
     timings: dict[str, float] = {}
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
+from operator import le
 
+from .errors import VerificationFailed
 from .matching import TaylorMatching
-from .monomials import ONE, Monomial, Variables, divides, format_monomial, lcm
+from .monomials import ONE, Monomial, Variables, format_monomial
 from .morse import CriticalCell, MorseComplex
 from .ordering import OrderedGenerators, order_generators
 from .powers import PowerBasis, support
@@ -222,60 +223,155 @@ def verify_d2(complex: ChainComplex) -> bool:
     return True
 
 
-def _rank(rows, char: int) -> int:
-    """Rank of a dense integer matrix over Q (char 0) or GF(char)."""
-    if not rows or not rows[0]:
-        return 0
-    if char == 0:
-        mat = [[Fraction(x) for x in row] for row in rows]
-    else:
-        mat = [[x % char for x in row] for row in rows]
-    m, n = len(mat), len(mat[0])
-    rank = 0
-    row = 0
-    for col in range(n):
-        pivot = next((i for i in range(row, m) if mat[i][col] != 0), None)
-        if pivot is None:
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin over the first twelve primes as bases, which is
+    deterministic for every n below 3.3 * 10**24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = (
-            1 / mat[row][col]
-            if char == 0
-            else pow(int(mat[row][col]), -1, char)
-        )
-        if char == 0:
-            mat[row] = [x * inv for x in mat[row]]
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
         else:
-            mat[row] = [(x * inv) % char for x in mat[row]]
-        for i in range(m):
-            if i != row and mat[i][col] != 0:
-                f = mat[i][col]
-                if char == 0:
-                    mat[i] = [x - f * y for x, y in zip(mat[i], mat[row])]
+            return False
+    return True
+
+
+def check_field_char(char: int) -> None:
+    """Raise ValueError unless ``char`` is 0 (the rationals) or a prime."""
+    if char != 0 and not _is_prime(char):
+        raise ValueError(f"field characteristic must be 0 or a prime, not {char}")
+
+
+def _rank(vectors, char: int) -> int:
+    """Rank over Q (char 0) or the prime field GF(char) of sparse integer
+    vectors, each an iterable of (index, value) pairs with distinct
+    indices.
+
+    The vectors are reduced one at a time against the pivot rows kept so
+    far, each pivot row owning its leading index.  Over GF(2) a vector is
+    an int bitset and reduction is XOR.  Over GF(p) it is an
+    {index: residue} dict with pivot rows scaled to a leading 1.  Over Q
+    it is an {index: int} dict reduced fraction-free, with the gcd of its
+    entries divided out after every step, so no fractions appear.
+    """
+    pivots: dict = {}
+    if char == 2:
+        for vec in vectors:
+            bits = 0
+            for k, x in vec:
+                if x & 1:
+                    bits ^= 1 << k
+            while bits:
+                lead = bits.bit_length() - 1
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    pivots[lead] = bits
+                    break
+                bits ^= pivot
+        return len(pivots)
+    for vec in vectors:
+        row = {k: x % char if char else x for k, x in vec}
+        row = {k: x for k, x in row.items() if x}
+        while row:
+            if not char:
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {k: x // g for k, x in row.items()}
+            lead = min(row)
+            a = row[lead]
+            pivot = pivots.get(lead)
+            if pivot is None:
+                if char:
+                    inv = pow(a, -1, char)
+                    row = {k: x * inv % char for k, x in row.items()}
+                pivots[lead] = row
+                break
+            if not char:
+                b = pivot[lead]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                if b != 1:
+                    row = {k: x * b for k, x in row.items()}
+            for k, x in pivot.items():
+                y = row.get(k, 0) - a * x
+                if char:
+                    y %= char
+                if y:
+                    row[k] = y
                 else:
-                    mat[i] = [(x - f * y) % char for x, y in zip(mat[i], mat[row])]
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
+                    del row[k]
+    return len(pivots)
+
+
+def _dense(m: Monomial, n: int) -> tuple[int, ...]:
+    """The exponent tuple of ``m`` over variables 0..n-1."""
+    e = [0] * n
+    for i, x in m.exps:
+        e[i] = x
+    return tuple(e)
+
+
+def _sparse(e: tuple[int, ...]) -> Monomial:
+    """The monomial with exponent tuple ``e``."""
+    return Monomial(tuple((i, x) for i, x in enumerate(e) if x))
+
+
+def _width(groups) -> int:
+    """How many dense exponent slots the monomials in ``groups`` need."""
+    return 1 + max((i for ms in groups for m in ms for i, _ in m.exps), default=-1)
+
+
+def _lcm_closure(atoms: set) -> set:
+    """All lcms of nonempty sets of atoms, as dense exponent tuples.
+
+    Every lcm of k+1 atoms is the lcm of an lcm of k atoms with one more
+    atom, so each new frontier is joined with the atoms only, never with
+    the whole growing closure."""
+    closed, frontier = set(atoms), atoms
+    while frontier:
+        frontier = {tuple(map(max, f, g)) for f in frontier for g in atoms} - closed
+        closed |= frontier
+    return closed
 
 
 def strand_degrees(complex: ChainComplex) -> list[Monomial]:
     """All labels of the resolution, closed under pairwise lcm: the
-    multidegrees where the label subcomplex can change."""
-    degrees = {m for labels in complex.labels for m in labels}
-    frontier = set(degrees)
-    while frontier:
-        new = set()
-        for m in frontier:
-            for m2 in degrees:
-                j = lcm(m, m2)
-                if j not in degrees and j not in new:
-                    new.add(j)
-        degrees |= new
-        frontier = new
-    return sorted(degrees)
+    multidegrees where the label subcomplex can change.
+
+    The vertex labels generate the closure of a built resolution, whose
+    every label is the lcm of a Taylor face's generators; a label outside
+    their closure (a hand-built complex may have one) is joined in too."""
+    n = _width(complex.labels)
+    labels = {_dense(m, n) for ms in complex.labels for m in ms}
+    atoms = {_dense(m, n) for m in complex.labels[0]} if complex.labels else set()
+    degrees = _lcm_closure(atoms)
+    if not labels <= degrees:
+        degrees = _lcm_closure(atoms | (labels - degrees))
+    return sorted(map(_sparse, degrees))
+
+
+def _taylor_boundary(face, rows):
+    """Boundary column of a Taylor face: the facet dropping position p
+    gets the sign (-1)**p."""
+    col = []
+    for p in range(len(face)):
+        row = rows.get(face[:p] + face[p + 1 :])
+        if row is None:
+            raise VerificationFailed(
+                f"a facet of the Taylor face {face} is missing from its "
+                "lcm-bounded subcomplex"
+            )
+        col.append((row, -1 if p % 2 else 1))
+    return col
 
 
 def taylor_betti(generators, char: int = 0) -> dict[tuple[int, Monomial], int]:
@@ -287,89 +383,85 @@ def taylor_betti(generators, char: int = 0) -> dict[tuple[int, Monomial], int]:
     Exponential in the number of generators and fully independent of the
     matching machinery; a desk-scale oracle for cross-checking the Morse
     resolution (and for measuring pd of ideals outside its scope).
+    Ranks are exact over the chosen field: Betti numbers can depend on
+    the characteristic, so no other field stands in for it.
     """
+    check_field_char(char)
     gens = list(generators)
     q = len(gens)
-    faces: list[tuple[int, ...]] = [()]
-    labels: dict[tuple[int, ...], Monomial] = {(): ONE}
+    n = _width([gens])
+    dense = [_dense(g, n) for g in gens]
+    labels: dict[tuple[int, ...], tuple[int, ...]] = {(): (0,) * n}
     for k in range(1, q + 1):
         for sub in combinations(range(q), k):
-            faces.append(sub)
-            labels[sub] = lcm(labels[sub[:-1]], gens[sub[-1]])
+            labels[sub] = tuple(map(max, labels[sub[:-1]], dense[sub[-1]]))
     out: dict[tuple[int, Monomial], int] = {}
-    for m in sorted(set(labels.values()) - {ONE}):
-        by_dim: dict[int, list[tuple[int, ...]]] = {}
-        for sub in faces:
-            lab = labels[sub]
-            if lab != m and divides(lab, m):
-                by_dim.setdefault(len(sub) - 1, []).append(sub)
-        top = max(by_dim)
-        mats = {}
-        for d in range(0, top + 1):
-            rows = {f: i for i, f in enumerate(by_dim.get(d - 1, []))}
-            cols = by_dim.get(d, [])
-            mat = [[0] * len(cols) for _ in range(len(rows))]
-            for c, f in enumerate(cols):
-                for p in range(len(f)):
-                    facet = f[:p] + f[p + 1 :]
-                    assert facet in rows  # its label divides f's label
-                    mat[rows[facet]][c] = -1 if p % 2 else 1
-            mats[d] = mat
-        for i in range(0, top + 2):
-            d = i - 1  # homological degree i reads face dimension i-1
-            n = len(by_dim.get(d, []))
-            if n == 0:
-                continue
-            rank_down = _rank(mats[d], char) if d >= 0 else 0
-            rank_up = _rank(mats[d + 1], char) if d + 1 in mats else 0
-            h = n - rank_down - rank_up
+    for m in sorted({_sparse(e) for e in labels.values()} - {ONE}):
+        top = _dense(m, n)
+        # a face's label divides m exactly when each of its generators does
+        below = [g for g in range(q) if all(map(le, dense[g], top))]
+        # sizes[k]: the faces of k generators whose label strictly divides m
+        sizes: list[list[tuple[int, ...]]] = [[()]]
+        for k in range(1, len(below) + 1):
+            faces = [f for f in combinations(below, k) if labels[f] != top]
+            if not faces:
+                break  # every face of a face below m is below m
+            sizes.append(faces)
+        ranks = [0]
+        for k in range(1, len(sizes)):
+            rows = {f: t for t, f in enumerate(sizes[k - 1])}
+            ranks.append(_rank((_taylor_boundary(f, rows) for f in sizes[k]), char))
+        ranks.append(0)
+        # homological degree i reads the faces of i generators (dimension i-1)
+        for i, faces in enumerate(sizes):
+            h = len(faces) - ranks[i] - ranks[i + 1]
             if h:
                 out[(i, m)] = h
     return out
 
 
-def _strand_is_acyclic(complex: ChainComplex, degree: Monomial, char: int) -> bool:
+def _strand_is_acyclic(labels, cols, degree: tuple[int, ...], char: int) -> bool:
     """Reduced homology of the subcomplex of cells whose label divides
-    the given degree, with the empty cell adjoined, must vanish."""
-    keep = [
-        [j for j, m in enumerate(labels) if divides(m, degree)]
-        for labels in complex.labels
-    ]
-    dims = [len(k) for k in keep]
-    # boundary matrices of the selected cells, degree i -> i-1
-    mats = []
-    for i in range(1, len(keep)):
-        rows = {j: t for t, j in enumerate(keep[i - 1])}
-        by_col: dict[int, list[tuple[int, int]]] = {}
-        for (row, col), (c, _) in complex.maps[i].items():
-            by_col.setdefault(col, []).append((row, c))
-        mat = [[0] * dims[i] for _ in range(dims[i - 1])]
-        for colpos, j in enumerate(keep[i]):
-            for row, c in by_col.get(j, ()):
-                if row in rows:
-                    mat[rows[row]][colpos] = c
-        mats.append(mat)
-    # augmentation: every vertex maps to the empty cell with coefficient 1
-    aug = [[1] * dims[0]]
-    chain = [aug] + mats
-    # the restriction must still be a complex
-    for i in range(1, len(chain)):
-        lo, hi = chain[i - 1], chain[i]
-        for col in range(dims[i]):
-            for row in range(len(lo)):
-                if sum(lo[row][k] * hi[k][col] for k in range(dims[i - 1])) != 0:
-                    return False
-    ranks = [_rank(m, char) for m in chain]
-    # reduced homology in degree i: dim ker d_i - rank d_{i+1}
-    if dims[0] == 0:
+    the given degree, with the empty cell adjoined, must vanish.
+
+    ``labels[i]`` holds the dense exponent tuples of the degree-i labels
+    and ``cols[i][j]`` the boundary of cell j of degree i as (row,
+    coefficient) pairs; both are built once per complex.
+    """
+    keep = [{j for j, e in enumerate(es) if all(map(le, e, degree))} for es in labels]
+    if not keep[0]:
         return False  # the empty degree supports no acyclic augmented complex
-    for i in range(len(dims)):
-        kernel = dims[i] - ranks[i]
-        image = ranks[i + 1] if i + 1 < len(chain) else 0
-        if kernel - image != 0:
-            return False
-    # degree -1: the augmentation must be onto
-    return ranks[0] == 1
+    # the restricted boundary maps, degree i -> i-1, with the augmentation
+    # (every vertex maps to the empty cell with coefficient 1) as chain[0]
+    chain = [{j: [(0, 1)] for j in keep[0]}]
+    for i in range(1, len(keep)):
+        rows = keep[i - 1]
+        chain.append({j: [(r, c) for r, c in cols[i][j] if r in rows] for j in keep[i]})
+    # the restriction must still be a complex, exactly over Z
+    for lower, upper in zip(chain, chain[1:]):
+        for col in upper.values():
+            acc: dict[int, int] = {}
+            for mid, c1 in col:
+                for row, c2 in lower[mid]:
+                    acc[row] = acc.get(row, 0) + c1 * c2
+            if any(acc.values()):
+                return False
+
+    def exact(p: int) -> bool:
+        # reduced homology in degree i: dim ker d_i - rank d_{i+1}; the
+        # augmentation has rank 1 and so is onto the empty cell
+        below = 1
+        for i in range(len(chain)):
+            above = _rank(chain[i + 1].values(), p) if i + 1 < len(chain) else 0
+            if len(keep[i]) != below + above:
+                return False
+            below = above
+        return True
+
+    # Over a Z-complex, rk_2 <= rk_Q for every map and rk_Q(d_i) +
+    # rk_Q(d_{i+1}) <= dims[i], so a GF(2)-exact strand is Q-exact too;
+    # exact rational elimination runs only when the GF(2) verdict fails.
+    return (char == 0 and exact(2)) or exact(char)
 
 
 def verify_strand_acyclicity(
@@ -378,13 +470,19 @@ def verify_strand_acyclicity(
     """Check every multidegree strand of the resolution is exact by
     computing reduced homology of label subcomplexes over the chosen
     field (0 means the rationals, otherwise a prime)."""
-    if field_char != 0 and field_char < 2:
-        raise ValueError("field characteristic must be 0 or a prime")
+    check_field_char(field_char)
     degrees = strand_degrees(complex)
+    n = _width(complex.labels)
+    labels = [[_dense(m, n) for m in ms] for ms in complex.labels]
+    cols: list[list[list[tuple[int, int]]]] = [[[] for _ in ms] for ms in labels]
+    for i, entries in complex.maps.items():
+        for (row, col), (c, _) in entries.items():
+            cols[i][col].append((row, c))
+
+    def check(m: Monomial) -> bool:
+        return _strand_is_acyclic(labels, cols, _dense(m, n), field_char)
+
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(
-                lambda m: _strand_is_acyclic(complex, m, field_char), degrees
-            )
-            return all(results)
-    return all(_strand_is_acyclic(complex, m, field_char) for m in degrees)
+            return all(pool.map(check, degrees))
+    return all(map(check, degrees))

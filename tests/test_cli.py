@@ -162,6 +162,17 @@ def test_verification_failure_exit_code(capsys, running_json, monkeypatch):
     assert json.loads(out)["verify"]["checks"]["minimality"] == "FAIL"
 
 
+@pytest.mark.parametrize("char", ["4", "6", "9", "1"])
+def test_non_prime_char_is_parse_error(capsys, char):
+    # Z/4 is not a field: a strand check over it must not report PASS
+    code, out = run_cli(
+        capsys, "verify", "--gens", "x*y,y*z,z*u", "-r", "2", "--char", char
+    )
+    assert code == EXIT_PARSE
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError" and "prime" in err["message"]
+
+
 def test_pd_formula_mode(capsys):
     code, out = run_cli(capsys, "pd", "-q", "3", "-r", "7")
     assert code == EXIT_OK

@@ -154,6 +154,48 @@ def test_strand_acyclicity_negative_control(res2):
     assert not verify_strand_acyclicity(broken, 2)
 
 
+def test_strand_acyclicity_rational_fallback():
+    # a Z-complex exact over Q but not over GF(2): one vertex, one edge
+    # with zero boundary, one 2-cell with boundary 2*edge, all labelled x;
+    # the char-0 verdict must come from exact rational elimination
+    from morsepow import ChainComplex, Monomial
+
+    x = Monomial.from_dict({0: 1})
+    complex = ChainComplex(
+        None, 1, [[None], [None], [None]], [[x], [x], [x]],
+        {1: {}, 2: {(0, 0): (2, Monomial(()))}},
+    )
+    assert verify_strand_acyclicity(complex, 0)
+    assert verify_strand_acyclicity(complex, 3)
+    assert not verify_strand_acyclicity(complex, 2)
+
+
+def test_strand_degrees_join_labels_outside_the_vertex_closure():
+    # in a hand-built complex a label need not be an lcm of vertex labels
+    from morsepow import ChainComplex, Monomial
+
+    x, y, z = (Monomial.from_dict({i: 1}) for i in range(3))
+    xy, xz = Monomial.from_dict({0: 1, 1: 1}), Monomial.from_dict({0: 1, 2: 1})
+    xyz = Monomial.from_dict({0: 1, 1: 1, 2: 1})
+    complex = ChainComplex(None, 1, [[None], [None, None]], [[x], [xy, xz]], {1: {}})
+    assert strand_degrees(complex) == sorted([x, xy, xz, xyz])
+
+
+@pytest.mark.parametrize("char", [-2, 1, 4, 6, 9, 91, 561])
+def test_non_prime_characteristics_rejected(res2, running, char):
+    from morsepow import taylor_betti
+
+    with pytest.raises(ValueError, match="prime"):
+        verify_strand_acyclicity(res2, char)
+    with pytest.raises(ValueError, match="prime"):
+        taylor_betti(running.generators, char)
+
+
+def test_prime_characteristics_accepted(res2):
+    for char in (3, 5, 7, 101, 2**61 - 1):
+        assert verify_strand_acyclicity(res2, char)
+
+
 def test_strand_degrees_closed_under_lcm(res2):
     from morsepow import lcm
 
