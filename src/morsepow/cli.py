@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -30,17 +29,16 @@ from .errors import (
     TooLarge,
 )
 from .matching import (
-    CRITICAL,
-    DOWN,
     TaylorMatching,
     is_matching,
+    split_arrows,
     verify_matching_acyclic,
     verify_matching_homogeneous,
 )
 from .monomials import Variables, format_monomial, parse_generators
-from .morse import CriticalCell, MorseComplex
+from .morse import MorseComplex
 from .ordering import order_generators, resolution_tree
-from .powers import PowerBasis, move_to_joint
+from .powers import PowerBasis
 from .resolution import (
     betti,
     betti_closed_form,
@@ -211,69 +209,29 @@ def _resolution_section(complex) -> dict:
     return out
 
 
-def _matching_stats(matching: TaylorMatching, cap: int, with_faces: bool) -> dict:
+def _matching_section(matching: TaylorMatching, cap: int, with_faces: bool):
+    """The matching report, and the (faces, pairs, critical faces) of
+    its one face classification for the verifiers to reuse."""
     classified = matching.enumerate_arrows(cap)
-    critical = [f for f, ar in classified if ar.kind == CRITICAL]
+    classes = split_arrows(classified)
     by_dim: dict[int, int] = {}
-    for f in critical:
+    for f in classes.critical:
         by_dim[len(f) - 1] = by_dim.get(len(f) - 1, 0) + 1
     out = {
-        "faces": len(classified),
-        "arrows": sum(1 for _, ar in classified if ar.kind == DOWN),
-        "critical": len(critical),
+        "faces": len(classes.faces),
+        "arrows": len(classes.pairs),
+        "critical": len(classes.critical),
         "critical_by_dim": [by_dim.get(d, 0) for d in range(max(by_dim) + 1)],
     }
     if with_faces:
-        out["records"] = matching.face_records(cap)
-    return out
+        out["records"] = matching.face_records(classified)
+    return out, classes
 
 
-def _paths_consistent(morse: MorseComplex) -> bool:
-    """Gradient-path oracle: brute-force paths from each cell's dropped-
-    vector facet land exactly on the attached lower cells, and the
-    explicit path is among them."""
-    basis = morse.basis
-    cells = morse.critical_cells()
-    for dim in range(2, len(cells)):
-        lower = {morse.cell_face(c) for c in cells[dim - 1]}
-        for cell in cells[dim]:
-            start = tuple(
-                sorted(basis.move_index(basis.index_of[cell.a], j) for j in cell.moves)
-            )
-            expected = {
-                morse.cell_face(sub)
-                for sub in morse.closure_facets(cell)
-                if sub.a != cell.a
-            }
-            for target in lower:
-                paths = morse.paths_bruteforce(start, target)
-                if bool(paths) != (target in expected):
-                    return False
-                if paths and target in expected:
-                    explicit = None
-                    for k in cell.moves:
-                        end = CriticalCell(
-                            move_to_joint(cell.a, k, basis.og.joints),
-                            tuple(j for j in cell.moves if j != k),
-                        )
-                        if morse.cell_face(end) == target:
-                            explicit = morse.explicit_path(cell.a, cell.moves, k)
-                            break
-                    if explicit is None or explicit.faces not in {
-                        p.faces for p in paths
-                    }:
-                        return False
-    for dim in range(1, len(cells)):
-        for cell in cells[dim]:
-            face = set(morse.cell_face(cell))
-            for sub in morse.closure_facets(cell):
-                if sub.a == cell.a and not set(morse.cell_face(sub)) <= face:
-                    return False
-    return True
-
-
-def _verify_section(og, r, cap, chars, threads, skip_large: bool, complex=None):
-    """Run the verification battery; returns (section dict, all_passed)."""
+def _verify_section(morse, complex, classes, cap, chars, skip_large: bool):
+    """Run the verification battery on the layers ``run`` built;
+    ``classes`` is the matching section's face classification, or None.
+    Returns (section dict, timings, all_passed)."""
     for char in chars:
         check_field_char(char)  # before any check runs, not after most
     checks: dict[str, str] = {}
@@ -281,68 +239,64 @@ def _verify_section(og, r, cap, chars, threads, skip_large: bool, complex=None):
 
     def record(name, fn):
         t0 = time.perf_counter()
-        ok = fn()
+        try:
+            ok = fn()
+        except TooLarge:
+            if not skip_large:
+                raise
+            checks[name] = "SKIPPED (over cap)"
+            return
         timings[name] = time.perf_counter() - t0
         checks[name] = "PASS" if ok else "FAIL"
-        return ok
 
-    basis = PowerBasis(og, r)
-    matching = TaylorMatching(basis)
-    morse = MorseComplex(matching)
-    if complex is None:
-        complex = build_resolution(None, r, og=og)
+    matching = morse.matching
+    size = morse.basis.size
 
-    enumerable = (1 << basis.size) <= cap
-    if not enumerable and not skip_large:
-        raise TooLarge(
-            f"brute-force verification needs 2**{basis.size} faces, over the cap {cap}",
-            cap=cap,
-        )
-    if enumerable:
-        faces = matching.all_faces(cap)
-        pairs = matching.matched_pairs(cap)
-        record("matching_is_matching", lambda: is_matching(pairs))
-        record(
-            "matching_acyclic", lambda: verify_matching_acyclic(faces, pairs)
-        )
-        record(
-            "matching_homogeneous",
-            lambda: verify_matching_homogeneous(pairs, matching.face_lcm),
-        )
-        record(
-            "critical_cells_match_closed_form",
-            lambda: matching.critical_faces_bruteforce(cap)
-            == matching.critical_faces_closed_form(),
-        )
-    else:
-        for name in (
-            "matching_is_matching",
-            "matching_acyclic",
-            "matching_homogeneous",
-            "critical_cells_match_closed_form",
-        ):
-            checks[name] = "SKIPPED (over cap)"
+    def face_classes():
+        # the matching section's face classification, or one made here
+        nonlocal classes
+        if classes is None:
+            if (1 << size) > cap:
+                raise TooLarge(
+                    f"brute-force verification needs 2**{size} faces, over the cap {cap}",
+                    cap=cap,
+                )
+            classes = split_arrows(matching.enumerate_arrows(cap))
+        return classes
 
+    record("matching_is_matching", lambda: is_matching(face_classes().pairs))
+    record(
+        "matching_acyclic",
+        lambda: verify_matching_acyclic(face_classes().faces, face_classes().pairs),
+    )
+    record(
+        "matching_homogeneous",
+        lambda: verify_matching_homogeneous(face_classes().pairs, matching.face_lcm),
+    )
+    record(
+        "critical_cells_match_closed_form",
+        lambda: face_classes().critical == matching.critical_faces_closed_form(),
+    )
     record(
         "cell_labels_match_face_lcm",
         lambda: all(
-            morse.cell_lcm(c) == matching.face_lcm(morse.cell_face(c))
-            for cells in morse.critical_cells()
-            for c in cells
+            label == matching.face_lcm(morse.cell_face(c))
+            for cells, labels in zip(complex.basis, complex.labels)
+            for c, label in zip(cells, labels)
         ),
     )
-    record("gradient_paths_match_closure", lambda: _paths_consistent(morse))
+    record("gradient_paths_match_closure", lambda: morse.paths_match_closure(cap))
     record("differentials_compose_to_zero", lambda: verify_d2(complex))
     record("minimality", lambda: verify_minimality(complex))
     for char in chars:
         record(
             f"strand_acyclicity_char_{char}",
-            lambda c=char: verify_strand_acyclicity(complex, c, threads),
+            lambda c=char: verify_strand_acyclicity(complex, c),
         )
     b = betti(complex)
     record(
         "betti_closed_form",
-        lambda: tuple(b.totals) == betti_closed_form(og.q, r)
+        lambda: tuple(b.totals) == betti_closed_form(complex.og.q, complex.r)
         and sum((-1) ** i * t for i, t in enumerate(b.totals)) == 1,
     )
     all_passed = all(v == "PASS" for v in checks.values() if not v.startswith("SKIP"))
@@ -352,7 +306,8 @@ def _verify_section(og, r, cap, chars, threads, skip_large: bool, complex=None):
 def run(subcommand, spec, *, cap=1 << 20, chars=(0, 2), joints_override=None,
         with_faces=False, threads=None, q=None, r=None):
     """Execute one pipeline slice and return (report dict, exit code,
-    timings dict)."""
+    timings dict).  ``threads`` is accepted for old callers and ignored:
+    every check runs in the calling thread."""
     report: dict = {}
     timings: dict[str, float] = {}
     code = EXIT_OK
@@ -405,9 +360,10 @@ def run(subcommand, spec, *, cap=1 << 20, chars=(0, 2), joints_override=None,
     if include("order"):
         report["pd1_witness"] = _witness_section(og)
 
-    basis = None
+    basis = morse = None
     if subcommand != "order":
         basis = PowerBasis(og, spec.r)
+        morse = MorseComplex(TaylorMatching(basis))
         report["power"] = {"r": spec.r, "generator_count": basis.size}
 
     if subcommand == "generators":
@@ -416,17 +372,16 @@ def run(subcommand, spec, *, cap=1 << 20, chars=(0, 2), joints_override=None,
             for a, m in zip(basis.vectors, basis.monomials)
         ]
 
+    classes = None
     if include("matching"):
         t0 = time.perf_counter()
         if subcommand == "all" and (1 << basis.size) > cap:
             report["matching"] = {"status": "SKIPPED (over cap)"}
         else:
-            report["matching"] = _matching_stats(
-                TaylorMatching(basis), cap, with_faces
+            report["matching"], classes = _matching_section(
+                morse.matching, cap, with_faces
             )
         timings["matching"] = time.perf_counter() - t0
-
-    morse = MorseComplex(TaylorMatching(basis)) if basis is not None else None
 
     if include("critical"):
         t0 = time.perf_counter()
@@ -466,8 +421,7 @@ def run(subcommand, spec, *, cap=1 << 20, chars=(0, 2), joints_override=None,
 
     if include("verify"):
         section, vt, all_passed = _verify_section(
-            og, spec.r, cap, chars, threads,
-            skip_large=(subcommand == "all"), complex=complex,
+            morse, complex, classes, cap, chars, skip_large=(subcommand == "all")
         )
         report["verify"] = section
         timings.update(vt)
@@ -567,7 +521,6 @@ def main(argv=None) -> int:
             chars=tuple(args.char) if args.char else (0, 2),
             joints_override=joints_override,
             with_faces=args.faces,
-            threads=int(os.environ.get("MORSEPOW_THREADS", "0")) or None,
             q=args.count,
             r=args.power,
         )

@@ -1,8 +1,8 @@
 """Simplicial complexes presented by their facets.
 
 Leaf/joint detection, quasi-forest recognition by greedy leaf peeling,
-the complement complex, and the facet ideal <-> facet complex
-translation.  Facets are frozensets of variable indices.
+the complement complex, and the facet complex of a square-free
+ideal.  Facets are frozensets of variable indices.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from .errors import (
     NotMinimalGenerating,
     NotQuasiForest,
     NotSquarefree,
+    ParseError,
 )
-from .monomials import Monomial, Variables, divides, is_squarefree
+from .monomials import Variables, divides, is_squarefree
 
 
 class SimplicialComplex:
@@ -83,6 +84,8 @@ def facet_complex(generators, variables: Variables) -> SimplicialComplex:
                 raise NotMinimalGenerating(
                     f"generator {m} divides generator {m2}"
                 )
+    if any(m.is_one() for m in generators):
+        raise ParseError("the unit monomial 1 generates no proper ideal")
     return SimplicialComplex(variables, [m.support for m in generators])
 
 
@@ -172,8 +175,3 @@ def free_vertices(prefix_facets, facet: frozenset[int]) -> frozenset[int]:
     for f in prefix_facets:
         out -= f
     return out
-
-
-def facet_supports_to_monomials(delta: SimplicialComplex) -> list[Monomial]:
-    """The facet ideal: one square-free generator per facet."""
-    return [Monomial.from_dict({v: 1 for v in f}) for f in delta.facets]

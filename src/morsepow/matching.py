@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
-from .errors import EmptyFace, TooLarge
-from .monomials import Monomial, lcm_all
+from .errors import EmptyFace, TooLarge, VerificationFailed
+from .monomials import Monomial, format_monomial, lcm_all
 from .powers import NEG_INF, PowerBasis, last_disagreement
 
 Face = tuple[int, ...]
@@ -113,7 +114,7 @@ class TaylorMatching:
 
         Returns a list of (face, arrow).  The involution is checked:
         the partner of a matched face is matched back to it with the
-        same pivot.
+        same pivot, else VerificationFailed is raised.
         """
         faces = self.all_faces(cap)
         classified = [(f, self.arrow(f)) for f in faces]
@@ -121,25 +122,17 @@ class TaylorMatching:
         for face, ar in classified:
             if ar.kind == CRITICAL:
                 continue
-            back = arrow_of[ar.partner]
-            assert back.kind == (DOWN if ar.kind == UP else UP)
-            assert back.partner == face and back.pivot == ar.pivot
+            back = MatchArrow(DOWN if ar.kind == UP else UP, face, ar.pivot)
+            if arrow_of[ar.partner] != back:
+                raise VerificationFailed(f"{ar.partner} is not matched back to {face}")
         return classified
 
     def matched_pairs(self, cap: int = 1 << 20) -> list[tuple[Face, Face]]:
         """The matching as (face, face minus pivot) pairs."""
-        return [
-            (face, ar.partner)
-            for face, ar in self.enumerate_arrows(cap)
-            if ar.kind == DOWN
-        ]
+        return split_arrows(self.enumerate_arrows(cap)).pairs
 
     def critical_faces_bruteforce(self, cap: int = 1 << 20) -> set[Face]:
-        return {
-            face
-            for face, ar in self.enumerate_arrows(cap)
-            if ar.kind == CRITICAL
-        }
+        return split_arrows(self.enumerate_arrows(cap)).critical
 
     def critical_faces_closed_form(self) -> set[Face]:
         """Faces contained in the descent family of their largest vertex:
@@ -152,22 +145,38 @@ class TaylorMatching:
                     out.add(tuple(sorted((i,) + sub)))
         return out
 
-    def face_records(self, cap: int = 1 << 20):
-        """JSON-ready classification records."""
-        from .monomials import format_monomial
-
+    def face_records(self, classified):
+        """JSON-ready records of an ``enumerate_arrows`` result."""
         variables = self.basis.og.variables
-        records = []
-        for face, ar in self.enumerate_arrows(cap):
-            records.append(
-                {
-                    "face": list(face),
-                    "kind": ar.kind,
-                    "partner": None if ar.partner is None else list(ar.partner),
-                    "lcm": format_monomial(self.face_lcm(face), variables),
-                }
-            )
-        return records
+        return [
+            {
+                "face": list(face),
+                "kind": ar.kind,
+                "partner": None if ar.partner is None else list(ar.partner),
+                "lcm": format_monomial(self.face_lcm(face), variables),
+            }
+            for face, ar in classified
+        ]
+
+
+class FaceClasses(NamedTuple):
+    """One ``enumerate_arrows`` result without its arrows: every face,
+    the matched (face, face minus pivot) pairs, and the critical faces."""
+
+    faces: list[Face]
+    pairs: list[tuple[Face, Face]]
+    critical: set[Face]
+
+
+def split_arrows(classified) -> FaceClasses:
+    out = FaceClasses([], [], set())
+    for face, ar in classified:
+        out.faces.append(face)
+        if ar.kind == DOWN:
+            out.pairs.append((face, ar.partner))
+        elif ar.kind == CRITICAL:
+            out.critical.add(face)
+    return out
 
 
 def vertex_matching(faces, v: int) -> list[tuple[Face, Face]]:

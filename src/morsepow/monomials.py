@@ -169,14 +169,15 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     """Split a monomial string into (name, exponent) factors.
 
     Two forms are accepted: the explicit form "x*y^2*z" (factors joined
-    by '*', optional '^exponent', multi-letter names allowed) and the
-    compact form "xy2z" (single-letter names, digits bind to the
-    preceding letter).  "1" denotes the unit monomial.
+    by '*', optional '^exponent', multi-letter names allowed, and any
+    string with an '_', such as "x_0") and the compact form "xy2z"
+    (single-letter names, digits bind to the preceding letter).  "1"
+    denotes the unit monomial.
     """
     s = text.strip()
     if s in ("1", ""):
         return []
-    if "*" in s or "^" in s:
+    if "*" in s or "^" in s or "_" in s:
         factors = []
         for part in s.split("*"):
             part = part.strip()

@@ -35,6 +35,21 @@ class CriticalCell:
         return len(self.moves)
 
 
+def closure_facets(cell: CriticalCell, joints) -> list[CriticalCell]:
+    """The critical cells one dimension down that are attached to the
+    cell in the Morse complex: drop one move, on the vector itself or on
+    its moved copy."""
+    out = []
+    for k in cell.moves:
+        rest = tuple(j for j in cell.moves if j != k)
+        out.append(CriticalCell(cell.a, rest))
+        out.append(CriticalCell(move_to_joint(cell.a, k, joints), rest))
+    # the two families can never collide: their top vectors differ
+    if len(set(out)) != len(out):
+        raise VerificationFailed(f"attached cells of {cell} collide")
+    return out
+
+
 @dataclass(frozen=True)
 class GradientPath:
     """An alternating walk: up into the partner of the current face,
@@ -81,7 +96,8 @@ class MorseComplex:
         moves = []
         for v in face[1:]:
             j = last_disagreement(a, vectors[v])
-            assert move_to_joint(a, j, self.basis.og.joints) == vectors[v]
+            if move_to_joint(a, j, self.basis.og.joints) != vectors[v]:
+                raise VerificationFailed(f"face {face} is not a critical cell")
             moves.append(j)
         return CriticalCell(a, tuple(sorted(moves)))
 
@@ -97,18 +113,8 @@ class MorseComplex:
         return out
 
     def closure_facets(self, cell: CriticalCell) -> list[CriticalCell]:
-        """The critical cells one dimension down that are attached to
-        this cell in the Morse complex: drop one move, on the vector
-        itself or on its moved copy."""
-        out = []
-        joints = self.basis.og.joints
-        for k in cell.moves:
-            rest = tuple(j for j in cell.moves if j != k)
-            out.append(CriticalCell(cell.a, rest))
-            out.append(CriticalCell(move_to_joint(cell.a, k, joints), rest))
-        # the two families can never collide: their top vectors differ
-        assert len(set(out)) == len(out)
-        return out
+        """``closure_facets`` with this complex's joints."""
+        return closure_facets(cell, self.basis.og.joints)
 
     # ------------------------------------------------------------------
     # gradient flow and the differential
@@ -229,11 +235,11 @@ class MorseComplex:
                 apply({di, slots[e - 1]}, {di})
 
         path = GradientPath(tuple(faces))
-        assert self.is_valid_path(path)
         end_cell = CriticalCell(
             move_to_joint(a, k, joints), tuple(j for j in slots if j != k)
         )
-        assert path.faces[-1] == self.cell_face(end_cell)
+        if not self.is_valid_path(path) or faces[-1] != self.cell_face(end_cell):
+            raise VerificationFailed(f"explicit path from {a} at slot {k} is broken")
         return path
 
     def is_valid_path(self, path: GradientPath) -> bool:
@@ -267,15 +273,13 @@ class MorseComplex:
             w *= -incidence(high, pivot) * incidence(high, dropped)
         return w
 
-    def paths_bruteforce(self, start: Face, end: Face, cap: int = 100000):
-        """Every gradient path from ``start`` to the critical face
-        ``end``.  Paths leave a non-critical face upward and stop at the
-        first critical face reached; those ending elsewhere are dropped.
-        """
+    def gradient_paths(self, start: Face, cap: int) -> dict[Face, list[GradientPath]]:
+        """Every gradient path from ``start``, grouped by the critical
+        face it ends at: one depth-first search that leaves a non-critical
+        face upward and stops at the first critical face reached.  Raises
+        TooLarge after more than ``cap`` steps."""
         arrow = self.matching.arrow
-        if arrow(start).kind != UP:
-            return []
-        results = []
+        ends: dict[Face, list[GradientPath]] = {}
         stack = [(start, (start,))]
         steps = 0
         while stack:
@@ -289,20 +293,47 @@ class MorseComplex:
                     continue
                 steps += 1
                 if steps > cap:
-                    raise TooLarge(
-                        f"more than {cap} path steps explored", cap=cap
-                    )
+                    raise TooLarge(f"more than {cap} path steps explored", cap=cap)
                 sub = face_without(partner, w)
                 trail2 = trail + (partner, sub)
-                sub_arrow = arrow(sub)
-                if sub_arrow.kind == CRITICAL:
-                    if sub == end:
-                        results.append(GradientPath(trail2))
-                        if len(results) > cap:
-                            raise TooLarge(
-                                f"more than {cap} paths found", cap=cap
-                            )
+                if arrow(sub).kind == CRITICAL:
+                    ends.setdefault(sub, []).append(GradientPath(trail2))
                 else:
                     stack.append((sub, trail2))
-        results.sort(key=lambda p: p.faces)
-        return results
+        return ends
+
+    def paths_bruteforce(self, start: Face, end: Face, cap: int = 100000):
+        """Every gradient path from ``start`` to the critical face
+        ``end``, sorted; the ``gradient_paths`` search filtered to one end.
+        """
+        paths = self.gradient_paths(start, cap).get(end, [])
+        return sorted(paths, key=lambda p: p.faces)
+
+    def paths_match_closure(self, cap: int) -> bool:
+        """Gradient-path oracle.  From the facet of each critical cell
+        that drops its vector, the gradient paths end exactly on the
+        attached cells on moved vectors, and the explicit path to each of
+        them is among those paths; the attached cells that keep the vector
+        are literal subfaces.  One search per cell, each bounded by
+        ``cap`` steps (TooLarge beyond it)."""
+        top_of = self.basis.index_of
+        for cells in self.critical_cells()[1:]:
+            for cell in cells:
+                face = self.cell_face(cell)
+                closure = self.closure_facets(cell)
+                for sub in closure:
+                    if sub.a == cell.a and not set(self.cell_face(sub)) <= set(face):
+                        return False
+                if cell.dim < 2:
+                    continue
+                top = top_of[cell.a]
+                ends = self.gradient_paths(tuple(v for v in face if v != top), cap)
+                # one attached cell on a moved vector per move, in move order
+                moved = [self.cell_face(sub) for sub in closure if sub.a != cell.a]
+                if set(ends) != set(moved):
+                    return False
+                for k, end in zip(cell.moves, moved):
+                    explicit = self.explicit_path(cell.a, cell.moves, k)
+                    if explicit.faces not in {p.faces for p in ends[end]}:
+                        return False
+        return True

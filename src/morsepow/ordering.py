@@ -20,7 +20,12 @@ from .complexes import (
     is_leaf_order,
     quasi_forest_order,
 )
-from .errors import InvalidJointChoice, NotProjectiveDimensionOne, NotQuasiForest
+from .errors import (
+    InvalidJointChoice,
+    NotProjectiveDimensionOne,
+    NotQuasiForest,
+    VerificationFailed,
+)
 from .monomials import Monomial, Variables, lcm, mul
 
 
@@ -139,7 +144,8 @@ def order_generators(
                 "the complement facet complex is not a quasi-forest",
                 remaining_facets=exc.remaining_facets,
             ) from exc
-    assert is_leaf_order(delta_c, order)
+    if not is_leaf_order(delta_c, order):
+        raise VerificationFailed(f"order {order} is not a leaf order")
 
     facets = [delta_c.facets[i] for i in order]
     ordered = [generators[i] for i in order]
@@ -148,7 +154,8 @@ def order_generators(
     for i in range(1, len(facets)):
         touched = frozenset().union(*(facets[i] & facets[h] for h in range(i)))
         candidates = [u for u in range(i) if touched <= facets[u]]
-        assert candidates, "leaf order validated but no joint found"
+        if not candidates:
+            raise VerificationFailed(f"leaf order validated but facet {i} has no joint")
         joints.append(min(candidates))
     if joints_override is not None:
         joints = list(joints_override)
@@ -159,8 +166,8 @@ def order_generators(
         free = facets[i] - facets[joints[i]]
         # a leaf's free vertices relative to its joint are exactly the
         # vertices in no earlier facet
-        assert free == free_vertices(facets[:i], facets[i])
-        assert free, "a leaf always has a free vertex"
+        if not free or free != free_vertices(facets[:i], facets[i]):
+            raise VerificationFailed(f"facet {i} has no free vertex set of a leaf")
         free_sets.append(free)
 
     return OrderedGenerators(variables, ordered, facets, joints, free_sets, order)

@@ -10,7 +10,6 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, gcd
@@ -19,7 +18,7 @@ from operator import le
 from .errors import VerificationFailed
 from .matching import TaylorMatching
 from .monomials import ONE, Monomial, Variables, format_monomial
-from .morse import CriticalCell, MorseComplex
+from .morse import CriticalCell, MorseComplex, closure_facets
 from .ordering import OrderedGenerators, order_generators
 from .powers import PowerBasis, support
 
@@ -187,14 +186,17 @@ def verify_minimality(complex: ChainComplex) -> bool:
         for _, shift in entries.values():
             if shift.is_one():
                 return False
-    morse = MorseComplex(TaylorMatching(PowerBasis(complex.og, complex.r)))
-    for cells in complex.basis[1:]:
-        for cell in cells:
-            label = morse.cell_lcm(cell)
-            for sub in morse.closure_facets(cell):
-                if morse.cell_lcm(sub) == label:
-                    return False
-    return True
+    label_of = {
+        c: m
+        for cells, labels in zip(complex.basis, complex.labels)
+        for c, m in zip(cells, labels)
+    }
+    joints = complex.og.joints
+    return not any(
+        label_of.get(sub) == label
+        for cell, label in label_of.items()
+        for sub in closure_facets(cell, joints)
+    )
 
 
 def verify_d2(complex: ChainComplex) -> bool:
@@ -464,9 +466,7 @@ def _strand_is_acyclic(labels, cols, degree: tuple[int, ...], char: int) -> bool
     return (char == 0 and exact(2)) or exact(char)
 
 
-def verify_strand_acyclicity(
-    complex: ChainComplex, field_char: int = 0, threads: int | None = None
-) -> bool:
+def verify_strand_acyclicity(complex: ChainComplex, field_char: int = 0) -> bool:
     """Check every multidegree strand of the resolution is exact by
     computing reduced homology of label subcomplexes over the chosen
     field (0 means the rationals, otherwise a prime)."""
@@ -479,10 +479,6 @@ def verify_strand_acyclicity(
         for (row, col), (c, _) in entries.items():
             cols[i][col].append((row, c))
 
-    def check(m: Monomial) -> bool:
-        return _strand_is_acyclic(labels, cols, _dense(m, n), field_char)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return all(pool.map(check, degrees))
-    return all(map(check, degrees))
+    return all(
+        _strand_is_acyclic(labels, cols, _dense(m, n), field_char) for m in degrees
+    )

@@ -290,3 +290,63 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pd"]["pd"] == 2
+
+
+def test_broken_involution_exits_verification(capsys, running_json, monkeypatch):
+    from morsepow import CRITICAL, DOWN, MatchArrow, TaylorMatching
+
+    arrow = TaylorMatching.arrow
+
+    def broken(self, face):
+        # faces of five or more vertices lie beyond every r = 2 build
+        ar = arrow(self, face)
+        if len(face) >= 5 and ar.kind == DOWN:
+            return MatchArrow(CRITICAL, None, None)
+        return ar
+
+    monkeypatch.setattr(TaylorMatching, "arrow", broken)
+    code, out = run_cli(capsys, "verify", "-i", running_json)
+    assert code == EXIT_VERIFICATION
+    assert json.loads(out)["error"]["type"] == "VerificationFailed"
+
+
+def test_all_skips_gradient_paths_over_cap(capsys):
+    gens = "c*d*e,a*d*e,a*b*e,a*b*c"
+    code, out = run_cli(capsys, "all", "--gens", gens, "-r", "4", "--cap", "10")
+    assert code == EXIT_OK
+    checks = json.loads(out)["verify"]["checks"]
+    assert checks["gradient_paths_match_closure"] == "SKIPPED (over cap)"
+    assert checks["minimality"] == "PASS"
+
+
+def test_verify_gradient_paths_over_cap_exits_too_large(
+    capsys, running_json, monkeypatch
+):
+    from morsepow import MorseComplex, TooLarge
+
+    def over(self, start, cap):
+        raise TooLarge(f"more than {cap} path steps explored", cap=cap)
+
+    monkeypatch.setattr(MorseComplex, "gradient_paths", over)
+    code, out = run_cli(capsys, "verify", "-i", running_json)
+    assert code == EXIT_TOO_LARGE
+    code, out = run_cli(capsys, "all", "-i", running_json)
+    assert code == EXIT_OK
+    checks = json.loads(out)["verify"]["checks"]
+    assert checks["gradient_paths_match_closure"] == "SKIPPED (over cap)"
+    assert checks["matching_acyclic"] == "PASS"
+
+
+def test_unit_generator_is_a_parse_error(capsys):
+    code, out = run_cli(capsys, "check", "--gens", "1", "--vars", "x,y")
+    assert code == EXIT_PARSE
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+def test_underscore_names_in_single_factor_generators(capsys):
+    # the q = 2 tree ideal of the path x_0 - x_1 - x_2
+    code, out = run_cli(capsys, "all", "--gens", "x_2,x_0", "-r", "2")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["input"]["variables"] == ["x_2", "x_0"]
+    assert all(v == "PASS" for v in report["verify"]["checks"].values())

@@ -1,10 +1,12 @@
 import pytest
 
 from morsepow import (
+    ONE,
     EmptyComplementFacet,
     NotMinimalGenerating,
     NotQuasiForest,
     NotSquarefree,
+    ParseError,
     SimplicialComplex,
     Variables,
     complement,
@@ -12,6 +14,7 @@ from morsepow import (
     find_joints,
     free_vertices,
     is_leaf_order,
+    order_generators,
     parse_generators,
     quasi_forest_order,
 )
@@ -63,6 +66,11 @@ def test_facet_complex_rejects_bad_input():
     gens, variables = parse_generators(["x^2*y"])
     with pytest.raises(NotSquarefree):
         facet_complex(gens, variables)
+    # a unit generator, as in the one-edge tree ideal, is a typed input error
+    with pytest.raises(ParseError):
+        facet_complex([ONE], XYZU)
+    with pytest.raises(ParseError):
+        order_generators([ONE], XYZU)
 
 
 def test_complement_of_running_example():

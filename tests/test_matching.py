@@ -240,3 +240,46 @@ def test_partition_monotonicity(m2):
                     lv1 = -1 if st.level is NEG_INF else st.level
                     lv2 = -1 if st2.level is NEG_INF else st2.level
                     assert lv2 <= lv1
+
+
+def test_broken_involution_raises(running, monkeypatch):
+    from morsepow import MatchArrow, VerificationFailed
+
+    matching = TaylorMatching(PowerBasis(running, 2))
+    arrow = TaylorMatching.arrow
+    # the largest face matched downward: no resolution build reaches it
+    victim = max(
+        (f for f, ar in matching.enumerate_arrows() if ar.kind == DOWN), key=len
+    )
+
+    def broken(self, face):
+        if face == victim:
+            return MatchArrow(CRITICAL, None, None)
+        return arrow(self, face)
+
+    monkeypatch.setattr(TaylorMatching, "arrow", broken)
+    with pytest.raises(VerificationFailed):
+        matching.enumerate_arrows()
+
+
+def test_involution_check_survives_optimize_flag():
+    import subprocess
+    import sys
+
+    script = """
+from morsepow import CRITICAL, DOWN, MatchArrow, TaylorMatching, VerificationFailed
+from morsepow import PowerBasis, order_generators, parse_generators
+arrow = TaylorMatching.arrow
+def broken(self, face):
+    ar = arrow(self, face)
+    return MatchArrow(CRITICAL, None, None) if ar.kind == DOWN else ar
+TaylorMatching.arrow = broken
+gens, variables = parse_generators(["x*y", "y*z", "z*u"])
+try:
+    TaylorMatching(PowerBasis(order_generators(gens, variables), 2)).enumerate_arrows()
+except VerificationFailed:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True)
+    assert proc.returncode == 0, proc.stderr

@@ -92,6 +92,10 @@ def test_parse_infers_variables_in_first_appearance_order():
     gens, variables = parse_generators(["x*y", "y*z", "z*u"])
     assert variables.names == ("x", "y", "z", "u")
     assert gens[0] == parse_monomial("x*y", variables)
+    # a single factor with an underscore is read in the explicit form
+    gens, variables = parse_generators(["x_2", "x_0"])
+    assert variables.names == ("x_2", "x_0")
+    assert gens == [Monomial(((0, 1),)), Monomial(((1, 1),))]
 
 
 def test_parse_errors():

@@ -328,3 +328,52 @@ def test_critical_faces_inside_move_closure(morse2, morse_path4):
                         continue
                     if morse.matching.arrow(sub).kind == CRITICAL:
                         assert sub in allowed
+
+
+@pytest.mark.parametrize("name", ["running", "path4"])
+@pytest.mark.parametrize("r", [2, 3])
+def test_gradient_path_oracle_passes(request, name, r):
+    morse = MorseComplex(TaylorMatching(PowerBasis(request.getfixturevalue(name), r)))
+    assert morse.paths_match_closure(cap=1 << 20)
+
+
+def test_gradient_path_oracle_detects_wrong_explicit_end(morse_path4, monkeypatch):
+    explicit = MorseComplex.explicit_path
+
+    def wrong_end(self, a, moves, k):
+        # the explicit path to the cell of another move
+        other = next(j for j in moves if j != k)
+        return explicit(self, a, moves, other)
+
+    monkeypatch.setattr(MorseComplex, "explicit_path", wrong_end)
+    assert not morse_path4.paths_match_closure(cap=1 << 20)
+
+
+def test_gradient_path_oracle_detects_wrong_closure(morse_path4, monkeypatch):
+    closure = MorseComplex.closure_facets
+
+    def same_top_only(self, cell):
+        return [sub for sub in closure(self, cell) if sub.a == cell.a]
+
+    monkeypatch.setattr(MorseComplex, "closure_facets", same_top_only)
+    assert not morse_path4.paths_match_closure(cap=1 << 20)
+
+
+def test_gradient_path_oracle_respects_cap(morse_path4):
+    from morsepow import TooLarge
+
+    with pytest.raises(TooLarge):
+        morse_path4.paths_match_closure(cap=1)
+
+
+def test_paths_bruteforce_filters_the_one_search(morse_path4):
+    cells = morse_path4.critical_cells()
+    cell = cells[2][0]
+    face = morse_path4.cell_face(cell)
+    start = tuple(v for v in face if v != morse_path4.basis.index_of[cell.a])
+    ends = morse_path4.gradient_paths(start, cap=1 << 20)
+    assert ends
+    for end, paths in ends.items():
+        assert morse_path4.paths_bruteforce(start, end) == sorted(
+            paths, key=lambda p: p.faces
+        )

@@ -137,7 +137,6 @@ def test_d2_negative_control(res2):
 def test_strand_acyclicity(res2):
     assert verify_strand_acyclicity(res2, 0)
     assert verify_strand_acyclicity(res2, 2)
-    assert verify_strand_acyclicity(res2, 0, threads=2)
 
 
 def test_strand_acyclicity_single_vertex(single):
