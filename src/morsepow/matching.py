@@ -169,6 +169,7 @@ class FaceClasses(NamedTuple):
 
 
 def split_arrows(classified) -> FaceClasses:
+    """Split an ``enumerate_arrows`` result by the kind of each arrow."""
     out = FaceClasses([], [], set())
     for face, ar in classified:
         out.faces.append(face)

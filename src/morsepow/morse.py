@@ -178,7 +178,7 @@ class MorseComplex:
                     coeffs[end] = coeffs.get(end, 0) + sgn * c
             else:
                 # a facet of a critical cell is critical or matched up
-                raise AssertionError(f"facet {sub} of critical {face} matched down")
+                raise VerificationFailed(f"facet {sub} of critical {face} matched down")
         out = []
         for end in sorted(coeffs):
             c = coeffs[end]

@@ -192,8 +192,9 @@ def verify_minimality(complex: ChainComplex) -> bool:
         for c, m in zip(cells, labels)
     }
     joints = complex.og.joints
+    # an attached cell missing from the complex fails the check as well
     return not any(
-        label_of.get(sub) == label
+        label_of.get(sub) in (None, label)
         for cell, label in label_of.items()
         for sub in closure_facets(cell, joints)
     )

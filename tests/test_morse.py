@@ -377,3 +377,19 @@ def test_paths_bruteforce_filters_the_one_search(morse_path4):
         assert morse_path4.paths_bruteforce(start, end) == sorted(
             paths, key=lambda p: p.faces
         )
+
+
+def test_facet_matched_down_raises(running, monkeypatch):
+    from morsepow import DOWN, UP, MatchArrow, VerificationFailed, build_resolution
+
+    arrow = TaylorMatching.arrow
+
+    def broken(self, face):
+        ar = arrow(self, face)
+        if ar.kind == UP and len(face) == 2:
+            return MatchArrow(DOWN, face[:1], face[1])
+        return ar
+
+    monkeypatch.setattr(TaylorMatching, "arrow", broken)
+    with pytest.raises(VerificationFailed):
+        build_resolution(None, 2, og=running)
