@@ -242,26 +242,6 @@ def test_partition_monotonicity(m2):
                     assert lv2 <= lv1
 
 
-def test_broken_involution_raises(running, monkeypatch):
-    from morsepow import MatchArrow, VerificationFailed
-
-    matching = TaylorMatching(PowerBasis(running, 2))
-    arrow = TaylorMatching.arrow
-    # the largest face matched downward: no resolution build reaches it
-    victim = max(
-        (f for f, ar in matching.enumerate_arrows() if ar.kind == DOWN), key=len
-    )
-
-    def broken(self, face):
-        if face == victim:
-            return MatchArrow(CRITICAL, None, None)
-        return arrow(self, face)
-
-    monkeypatch.setattr(TaylorMatching, "arrow", broken)
-    with pytest.raises(VerificationFailed):
-        matching.enumerate_arrows()
-
-
 def test_involution_check_survives_optimize_flag():
     import subprocess
     import sys
