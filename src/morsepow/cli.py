@@ -271,7 +271,9 @@ def _verify_section(morse, complex, classes, cap, chars, skip_large: bool):
     )
     record(
         "matching_homogeneous",
-        lambda: verify_matching_homogeneous(face_classes().pairs, matching.face_lcm),
+        lambda: verify_matching_homogeneous(
+            face_classes().pairs, matching.face_exponents
+        ),
     )
     record(
         "critical_cells_match_closed_form",

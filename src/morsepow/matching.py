@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import EmptyFace, TooLarge, VerificationFailed
-from .monomials import Monomial, format_monomial, lcm_all
+from .monomials import Monomial, format_monomial
 from .powers import NEG_INF, PowerBasis, last_disagreement
 
 Face = tuple[int, ...]
@@ -66,10 +66,18 @@ class TaylorMatching:
     def __init__(self, basis: PowerBasis):
         self.basis = basis
 
-    def face_lcm(self, face: Face) -> Monomial:
+    def face_exponents(self, face: Face) -> tuple[int, ...]:
+        """Dense exponent tuple of the face's lcm label: the exponentwise
+        maximum over its vertices' generators."""
         if not face:
             raise EmptyFace("the empty face has no lcm label")
-        return lcm_all(self.basis.monomials[v] for v in face)
+        exponents = self.basis.exponents
+        if len(face) == 1:
+            return exponents[face[0]]
+        return tuple(map(max, *(exponents[v] for v in face)))
+
+    def face_lcm(self, face: Face) -> Monomial:
+        return Monomial.from_exponents(self.face_exponents(face))
 
     def face_stats(self, face: Face) -> FaceStats:
         if not face:
@@ -239,5 +247,6 @@ def verify_matching_acyclic(faces, arrows) -> bool:
 
 
 def verify_matching_homogeneous(arrows, lcm_of) -> bool:
-    """Matched faces must carry the same lcm label."""
+    """Matched faces must carry the same lcm label; ``lcm_of`` maps a
+    face to its label, as a monomial or a dense exponent tuple."""
     return all(lcm_of(up) == lcm_of(down) for up, down in arrows)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import NonDivisible, ParseError
 
@@ -78,6 +79,11 @@ class Monomial:
             if e < 0 or i < 0:
                 raise ValueError(f"bad exponent entry ({i}, {e})")
         return Monomial(items)
+
+    @staticmethod
+    def from_exponents(exponents) -> "Monomial":
+        """The monomial with the given dense exponent tuple."""
+        return Monomial(tuple(compress(enumerate(exponents), exponents)))
 
     def exponent(self, index: int) -> int:
         for i, e in self.exps:
@@ -165,22 +171,29 @@ _FACTOR = re.compile(r"([A-Za-z][A-Za-z0-9_]*?)(?:\^([0-9]+))?$")
 _COMPACT = re.compile(r"([A-Za-z])([0-9]*)")
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
+def _tokenize(text: str, names=()) -> list[tuple[str, int]]:
     """Split a monomial string into (name, exponent) factors.
 
     Two forms are accepted: the explicit form "x*y^2*z" (factors joined
     by '*', optional '^exponent', multi-letter names allowed, and any
     string with an '_', such as "x_0") and the compact form "xy2z"
     (single-letter names, digits bind to the preceding letter).  "1"
-    denotes the unit monomial.
+    denotes the unit monomial.  A factor that is exactly one of the
+    declared ``names`` is that variable, so "v0*v1" over (v0, v1) is
+    not read as v^0 * v^1.
     """
     s = text.strip()
     if s in ("1", ""):
         return []
+    if s in names:
+        return [(s, 1)]
     if "*" in s or "^" in s or "_" in s:
         factors = []
         for part in s.split("*"):
             part = part.strip()
+            if part in names:
+                factors.append((part, 1))
+                continue
             m = _FACTOR.fullmatch(part)
             if m is None:
                 raise ParseError(f"bad monomial factor {part!r} in {text!r}")
@@ -205,7 +218,7 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 def parse_monomial(text: str, variables: Variables) -> Monomial:
     """Parse a monomial over an already-fixed variable list."""
     d: dict[int, int] = {}
-    for name, exp in _tokenize(text):
+    for name, exp in _tokenize(text, variables):
         i = variables.index(name)
         d[i] = d.get(i, 0) + exp
     return Monomial.from_dict(d)
@@ -218,7 +231,7 @@ def parse_generators(texts, variables: Variables | None = None):
     union of supports, in order of first appearance.  Returns
     (monomials, variables).
     """
-    token_lists = [_tokenize(t) for t in texts]
+    token_lists = [_tokenize(t, variables or ()) for t in texts]
     if variables is None:
         names: list[str] = []
         for tokens in token_lists:

@@ -7,8 +7,11 @@ differential is computed by the standard discrete-Morse path sum: walk
 from each facet of a critical cell through alternating up/down steps of
 the matching until critical cells are reached, multiplying incidence
 signs (up steps contribute the negated incidence of the reversed
-inclusion).  Everything here stays inside small neighbourhoods of one
-cell, so resolutions are built without enumerating the Taylor complex.
+inclusion).  Labels and shifts are closed-form: the label of (a, moves)
+is m^a times the free vertices of each moved slot, and each entry's
+shift is fixed by the one move it drops.  Everything here stays inside
+small neighbourhoods of one cell, so resolutions are built without
+enumerating the Taylor complex.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from itertools import combinations
 
 from .errors import TooLarge, VerificationFailed
 from .matching import CRITICAL, DOWN, UP, Face, TaylorMatching, face_without, incidence
-from .monomials import Monomial, div_exact, mul, squarefree_part
-from .powers import last_disagreement, move_many, move_to_joint, support
+from .monomials import Monomial, squarefree_part
+from .powers import move_many, move_to_joint, support
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,13 @@ class MorseComplex:
         self.matching = matching
         self.basis = matching.basis
         self._flow_memo: dict[Face, dict[Face, int]] = {}
+        og = self.basis.og
+        # the shift of dropping move k: x^(F_k - F_joint(k)) when the
+        # vector stays, x^(F_joint(k) - F_k) when it moves to its joint
+        self._stay_shift = [squarefree_part(f) for f in og.free_sets]
+        self._move_shift = [
+            squarefree_part(og.facets[u] - f) for u, f in zip(og.joints, og.facets)
+        ]
 
     # ------------------------------------------------------------------
     # cells
@@ -89,28 +99,19 @@ class MorseComplex:
             verts.add(self.basis.move_index(i, j))
         return tuple(sorted(verts))
 
-    def cell_of_face(self, face: Face) -> CriticalCell:
-        """Inverse of cell_face on critical faces."""
-        vectors = self.basis.vectors
-        a = vectors[face[0]]
-        moves = []
-        for v in face[1:]:
-            j = last_disagreement(a, vectors[v])
-            if move_to_joint(a, j, self.basis.og.joints) != vectors[v]:
-                raise VerificationFailed(f"face {face} is not a critical cell")
-            moves.append(j)
-        return CriticalCell(a, tuple(sorted(moves)))
-
     def cell_lcm(self, cell: CriticalCell) -> Monomial:
-        """Label of the cell: multiply the vector's monomial by the free
-        vertices of each moved slot's facet.  Equals the plain lcm of
-        the cell's vertices, which the test-suite checks independently.
+        """Label of the cell: the vector's exponents plus one for each
+        free vertex of each moved slot's facet (the free sets are
+        disjoint).  Equals the plain lcm of the cell's vertices, which
+        ``TaylorMatching.face_lcm`` computes independently.
         """
-        og = self.basis.og
-        out = og.power_monomial(cell.a)
+        basis = self.basis
+        x = list(basis.exponents[basis.index_of[cell.a]])
+        free_sets = basis.og.free_sets
         for j in cell.moves:
-            out = mul(out, squarefree_part(og.free_sets[j]))
-        return out
+            for v in free_sets[j]:
+                x[v] += 1
+        return Monomial.from_exponents(x)
 
     def closure_facets(self, cell: CriticalCell) -> list[CriticalCell]:
         """``closure_facets`` with this complex's joints."""
@@ -163,9 +164,21 @@ class MorseComplex:
     def differential(self, cell: CriticalCell):
         """Boundary of a critical cell: list of (cell', coefficient,
         shift) with unit coefficients and shift = label(cell) /
-        label(cell')."""
+        label(cell').
+
+        Every cell' is an attached cell that drops one move k, and the
+        shift depends on k alone: x^(F_k - F_joint(k)) when cell' keeps
+        the vector, x^(F_joint(k) - F_k) when it holds the moved vector.
+        A flow end outside the attached cells raises VerificationFailed.
+        """
         face = self.cell_face(cell)
-        label = self.cell_lcm(cell)
+        attached: dict[Face, tuple[CriticalCell, Monomial]] = {}
+        closure = self.closure_facets(cell)
+        # closure_facets lists, per move, the cell keeping the vector and
+        # then the cell on the moved vector
+        for k, stay, moved in zip(cell.moves, closure[::2], closure[1::2]):
+            attached[self.cell_face(stay)] = (stay, self._stay_shift[k])
+            attached[self.cell_face(moved)] = (moved, self._move_shift[k])
         coeffs: dict[Face, int] = {}
         for v in face:
             sgn = incidence(face, v)
@@ -188,8 +201,12 @@ class MorseComplex:
                 raise VerificationFailed(
                     f"non-unit coefficient {c} from {face} to {end}"
                 )
-            sub_cell = self.cell_of_face(end)
-            out.append((sub_cell, c, div_exact(label, self.cell_lcm(sub_cell))))
+            hit = attached.get(end)
+            if hit is None:
+                raise VerificationFailed(
+                    f"flow from {cell} ends at {end}, outside its attached cells"
+                )
+            out.append((hit[0], c, hit[1]))
         return out
 
     # ------------------------------------------------------------------

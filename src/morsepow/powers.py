@@ -9,6 +9,8 @@ basic move shifts one unit of exponent from a slot to its joint.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import DuplicateGenerator, LengthMismatch, NotInSupport
 from .monomials import Monomial
 from .ordering import OrderedGenerators
@@ -17,13 +19,21 @@ NEG_INF = float("-inf")
 
 
 def weak_compositions(r: int, q: int):
-    """All length-q tuples of non-negative integers summing to r."""
-    if q == 1:
-        yield (r,)
-        return
-    for first in range(r + 1):
-        for rest in weak_compositions(r - first, q - 1):
-            yield (first,) + rest
+    """All length-q tuples of non-negative integers summing to r, in
+    lexicographic order.
+
+    Stars and bars: the q-1 bars sit at distinct positions among r+q-1,
+    each part counts the stars between two bars, and bar positions in
+    lexicographic order give the parts in lexicographic order."""
+    if q < 1:
+        raise ValueError("need at least one slot")
+    for bars in combinations(range(r + q - 1), q - 1):
+        out, prev = [], -1
+        for b in bars:
+            out.append(b - prev - 1)
+            prev = b
+        out.append(r + q - 2 - prev)
+        yield tuple(out)
 
 
 def colex_key(a):
@@ -52,14 +62,18 @@ def support(a) -> frozenset[int]:
     return frozenset(j for j, e in enumerate(a) if e)
 
 
+def _check_support(a, j: int) -> None:
+    if not (0 <= j < len(a) and a[j] > 0):
+        raise NotInSupport(f"slot {j} is not in the support of {a}")
+
+
 def move_to_joint(a, j: int, joints) -> tuple[int, ...]:
     """Shift one unit of exponent from slot j to slot joints[j].
 
     The move at slot 0 is the identity (slot 0 is its own joint); every
     other move is strictly colex-decreasing.
     """
-    if j not in support(a):
-        raise NotInSupport(f"slot {j} is not in the support of {a}")
+    _check_support(a, j)
     out = list(a)
     out[j] -= 1
     out[joints[j]] += 1
@@ -70,8 +84,7 @@ def move_many(a, slots, joints) -> tuple[int, ...]:
     """Apply the moves at a set of distinct support slots at once."""
     out = list(a)
     for j in slots:
-        if j not in support(a):
-            raise NotInSupport(f"slot {j} is not in the support of {a}")
+        _check_support(a, j)
         out[j] -= 1
         out[joints[j]] += 1
     return tuple(out)
@@ -117,11 +130,27 @@ class PowerBasis:
         self.r = r
         self.vectors: list[tuple[int, ...]] = power_vectors(og.q, r)
         self.index_of = {a: i for i, a in enumerate(self.vectors)}
-        self.monomials = [og.power_monomial(a) for a in self.vectors]
-        if len(set(self.monomials)) != len(self.monomials):
+        self.exponents = self._exponents()
+        if len(set(self.exponents)) != len(self.exponents):
             uniqueness_check(og, r)  # raises DuplicateGenerator with a witness
+        self.monomials = [Monomial.from_exponents(x) for x in self.exponents]
         self._families: dict[int, frozenset[int]] = {}
         self._moves: dict[tuple[int, int], int] = {}
+
+    def _exponents(self) -> list[tuple[int, ...]]:
+        """The dense exponent tuple, over every variable, of each
+        generator: the exponents of m_i summed a_i times each."""
+        gens = [g.exps for g in self.og.generators]
+        n = len(self.og.variables)
+        out = []
+        for a in self.vectors:
+            x = [0] * n
+            for g, e in zip(gens, a):
+                if e:
+                    for v, k in g:
+                        x[v] += e * k
+            out.append(tuple(x))
+        return out
 
     @property
     def size(self) -> int:

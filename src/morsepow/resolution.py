@@ -37,6 +37,10 @@ class ChainComplex:
     basis: list[list[CriticalCell]]
     labels: list[list[Monomial]]
     maps: dict[int, dict[tuple[int, int], tuple[int, Monomial]]]
+    # (labels it was computed from, strand_degrees of them)
+    _strand_cache: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def variables(self) -> Variables:
@@ -323,11 +327,6 @@ def _dense(m: Monomial, n: int) -> tuple[int, ...]:
     return tuple(e)
 
 
-def _sparse(e: tuple[int, ...]) -> Monomial:
-    """The monomial with exponent tuple ``e``."""
-    return Monomial(tuple((i, x) for i, x in enumerate(e) if x))
-
-
 def _width(groups) -> int:
     """How many dense exponent slots the monomials in ``groups`` need."""
     return 1 + max((i for ms in groups for m in ms for i, _ in m.exps), default=-1)
@@ -359,7 +358,17 @@ def strand_degrees(complex: ChainComplex) -> list[Monomial]:
     degrees = _lcm_closure(atoms)
     if not labels <= degrees:
         degrees = _lcm_closure(atoms | (labels - degrees))
-    return sorted(map(_sparse, degrees))
+    return sorted(map(Monomial.from_exponents, degrees))
+
+
+def _strand_degrees_once(complex: ChainComplex) -> list[Monomial]:
+    """``strand_degrees`` of the complex, computed once for every field
+    checked while its labels stay the same."""
+    key = tuple(map(tuple, complex.labels))
+    cached = complex._strand_cache
+    if cached is None or cached[0] != key:
+        cached = complex._strand_cache = (key, strand_degrees(complex))
+    return cached[1]
 
 
 def _taylor_boundary(face, rows):
@@ -399,7 +408,7 @@ def taylor_betti(generators, char: int = 0) -> dict[tuple[int, Monomial], int]:
         for sub in combinations(range(q), k):
             labels[sub] = tuple(map(max, labels[sub[:-1]], dense[sub[-1]]))
     out: dict[tuple[int, Monomial], int] = {}
-    for m in sorted({_sparse(e) for e in labels.values()} - {ONE}):
+    for m in sorted({Monomial.from_exponents(e) for e in labels.values()} - {ONE}):
         top = _dense(m, n)
         # a face's label divides m exactly when each of its generators does
         below = [g for g in range(q) if all(map(le, dense[g], top))]
@@ -472,7 +481,7 @@ def verify_strand_acyclicity(complex: ChainComplex, field_char: int = 0) -> bool
     computing reduced homology of label subcomplexes over the chosen
     field (0 means the rationals, otherwise a prime)."""
     check_field_char(field_char)
-    degrees = strand_degrees(complex)
+    degrees = _strand_degrees_once(complex)
     n = _width(complex.labels)
     labels = [[_dense(m, n) for m in ms] for ms in complex.labels]
     cols: list[list[list[tuple[int, int]]]] = [[[] for _ in ms] for ms in labels]

@@ -1,4 +1,8 @@
+import warnings
+from math import comb
+
 import pytest
+from hypothesis import strategies as st
 
 from morsepow import (
     Monomial,
@@ -11,6 +15,62 @@ from morsepow import (
 def ideal(texts, var_names=None):
     variables = Variables(var_names) if var_names else None
     return parse_generators(texts, variables)
+
+
+def ordered(gens, variables, joints=None):
+    """order_generators without the unused-variable warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return order_generators(gens, variables, joints_override=joints)
+
+
+# (q, r) with at most 10 power generators: q = 4, r = 3 has 20, and the
+# Taylor oracle's 2**20 faces are far beyond a unit test
+TAYLOR_SHAPES = [(q, r) for q in range(2, 5) for r in range(1, 4) if comb(q + r - 1, r) <= 10]
+# every tree with at most five edges, up to the cube
+LABEL_SHAPES = [(q, r) for q in range(2, 6) for r in range(1, 4)]
+
+
+@st.composite
+def tree_ideals(draw, shapes=TAYLOR_SHAPES):
+    """A random labelled tree on q+1 vertices, as the ideal whose complement
+    facets are its edges, with the generators in a random order; maybe
+    one more variable in no generator, and any valid joints.  Returns the
+    ordered generators and the power r."""
+    q, r = draw(st.sampled_from(shapes))
+    parents = [draw(st.integers(0, k - 1)) for k in range(1, q + 1)]
+    relabel = draw(st.permutations(range(q + 1)))
+    edges = draw(st.permutations([(relabel[p], relabel[k + 1]) for k, p in enumerate(parents)]))
+    gens = [
+        Monomial.from_dict({v: 1 for v in range(q + 1) if v not in edge})
+        for edge in edges
+    ]
+    # an unused variable lies in every complement facet
+    n = q + 1 + draw(st.booleans())
+    variables = Variables([f"x_{v}" for v in range(n)])
+    og = ordered(gens, variables)
+    # a joint of facet i is any earlier facet holding its meets with the
+    # earlier facets; a vertex of degree three or more offers a choice
+    joints = [0]
+    for i in range(1, q):
+        touched = frozenset().union(*(og.facets[i] & og.facets[h] for h in range(i)))
+        joints.append(draw(st.sampled_from(
+            [u for u in range(i) if touched <= og.facets[u]]
+        )))
+    if joints != list(og.joints):
+        og = ordered(gens, variables, joints)
+    return og, r
+
+
+# fixed cases for the label and shift properties: the running example,
+# the path on five vertices, and a star with an unused variable b whose
+# third facet takes the second as its joint instead of the first
+FIXED_CASES = [
+    (ordered(*ideal(["x*y", "y*z", "z*u"])), 1),
+    (ordered(*ideal(["x*y", "y*z", "z*u"])), 2),
+    (ordered(*ideal(["z*u*v", "x*u*v", "x*y*v", "x*y*z"], "xyzuv")), 2),
+    (ordered(*ideal(["c*d", "a*d", "a*c"], "abcd"), joints=[0, 0, 1]), 3),
+]
 
 
 def path_complement_ideal(q):

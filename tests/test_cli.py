@@ -280,6 +280,12 @@ def test_inline_generators(capsys):
     code, out = run_cli(capsys, "betti", "--gens", "x*y,y*z", "-r", "3")
     assert code == EXIT_OK
     assert json.loads(out)["betti"]["total"] == [4, 3]
+    # declared names ending in digits are read whole
+    code, out = run_cli(
+        capsys, "betti", "--gens", "v0*v1,v1*v2", "--vars", "v0,v1,v2", "-r", "3"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["betti"]["total"] == [4, 3]
 
 
 def test_console_script_runs():

@@ -1,25 +1,22 @@
 """Property tests of the sparse rank kernel and the oracles built on it."""
 
-import warnings
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morsepow import (
-    Monomial,
     PowerBasis,
-    Variables,
     VerificationFailed,
     betti,
     build_resolution,
-    order_generators,
     taylor_betti,
     verify_strand_acyclicity,
 )
 from morsepow.resolution import _rank, _taylor_boundary
+from conftest import tree_ideals
+
 
 def dense_rank(rows, char: int) -> int:
     """Reference: Gauss-Jordan on a dense integer matrix over Q (char 0,
@@ -84,33 +81,10 @@ def test_taylor_boundary_reports_missing_facet():
         _taylor_boundary((0, 1), {(0,): 0})
 
 
-# (q, r) with at most 10 power generators: q = 4, r = 3 has 20, and the
-# Taylor oracle's 2**20 faces are far beyond a unit test
-SHAPES = [(q, r) for q in range(2, 5) for r in range(1, 4) if comb(q + r - 1, r) <= 10]
-
-
-@st.composite
-def tree_ideals(draw):
-    """A random labelled tree on q+1 vertices, as the ideal whose complement
-    facets are its edges, with the generators in a random order."""
-    q, r = draw(st.sampled_from(SHAPES))
-    parents = [draw(st.integers(0, k - 1)) for k in range(1, q + 1)]
-    relabel = draw(st.permutations(range(q + 1)))
-    edges = draw(st.permutations([(relabel[p], relabel[k + 1]) for k, p in enumerate(parents)]))
-    gens = [
-        Monomial.from_dict({v: 1 for v in range(q + 1) if v not in edge})
-        for edge in edges
-    ]
-    return gens, Variables([f"x_{v}" for v in range(q + 1)]), r
-
-
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(tree_ideals())
 def test_taylor_oracle_and_strands_agree_with_morse_on_trees(case):
-    gens, variables, r = case
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        og = order_generators(gens, variables)
+    og, r = case
     complex = build_resolution(None, r, og=og)
     expected = betti(complex).multigraded
     monomials = PowerBasis(og, r).monomials

@@ -96,6 +96,11 @@ def test_parse_infers_variables_in_first_appearance_order():
     gens, variables = parse_generators(["x_2", "x_0"])
     assert variables.names == ("x_2", "x_0")
     assert gens == [Monomial(((0, 1),)), Monomial(((1, 1),))]
+    # a declared name ending in a digit is that variable, not an exponent
+    vs = Variables(["v0", "v1"])
+    gens, _ = parse_generators(["v0*v1", "v1^2", "v0"], vs)
+    assert gens == [Monomial(((0, 1), (1, 1))), Monomial(((1, 2),)), Monomial(((0, 1),))]
+    assert parse_monomial("v0 * v1", vs) == gens[0]
 
 
 def test_parse_errors():

@@ -2,6 +2,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
 
 from morsepow import (
     CRITICAL,
@@ -9,14 +10,17 @@ from morsepow import (
     MorseComplex,
     PowerBasis,
     TaylorMatching,
+    VerificationFailed,
     colex_compare,
     format_monomial,
     last_disagreement,
+    lcm_all,
     move_many,
     move_to_joint,
     support,
     weak_compositions,
 )
+from conftest import FIXED_CASES, LABEL_SHAPES, tree_ideals
 
 
 @pytest.fixture(scope="module")
@@ -59,13 +63,7 @@ def test_critical_cells_equal_bruteforce(morse1, morse2, morse_path4):
             morse.cell_face(c) for cells in morse.critical_cells() for c in cells
         }
         assert as_faces == morse.matching.critical_faces_bruteforce()
-
-
-def test_cell_face_roundtrip(morse2, morse_path4):
-    for morse in (morse2, morse_path4):
-        for cells in morse.critical_cells():
-            for c in cells:
-                assert morse.cell_of_face(morse.cell_face(c)) == c
+        assert len(as_faces) == sum(fvector(morse))  # one face per cell
 
 
 def test_cell_lcm_example(morse2, running):
@@ -83,13 +81,35 @@ def test_cell_lcm_base_case(morse2, running):
     assert morse2.cell_lcm(cell) == running.power_monomial((1, 0, 1))
 
 
-def test_cell_lcm_matches_face_lcm_everywhere(morse1, morse2, morse_path4):
-    for morse in (morse1, morse2, morse_path4):
-        for cells in morse.critical_cells():
-            for c in cells:
-                assert morse.cell_lcm(c) == morse.matching.face_lcm(
-                    morse.cell_face(c)
-                )
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(tree_ideals(LABEL_SHAPES))
+@example(FIXED_CASES[0])
+@example(FIXED_CASES[1])
+@example(FIXED_CASES[2])
+@example(FIXED_CASES[3])
+def test_cell_lcm_matches_face_lcm_everywhere(case):
+    # the closed-form label against the lcm of the face's generators,
+    # taken from the dense exponents and from sparse products
+    og, r = case
+    morse = MorseComplex(TaylorMatching(PowerBasis(og, r)))
+    vectors = morse.basis.vectors
+    for cells in morse.critical_cells():
+        for c in cells:
+            face = morse.cell_face(c)
+            label = morse.cell_lcm(c)
+            assert label == morse.matching.face_lcm(face)
+            assert label == lcm_all(og.power_monomial(vectors[v]) for v in face)
+
+
+def test_differential_rejects_flow_end_outside_closure(running, monkeypatch):
+    morse = MorseComplex(TaylorMatching(PowerBasis(running, 2)))
+    cell = CriticalCell((0, 1, 1), (1, 2))
+    assert len(morse.differential(cell)) == 4
+    # a vertex is critical but never attached to a 2-cell
+    stray = morse.cell_face(CriticalCell((2, 0, 0), ()))
+    monkeypatch.setattr(MorseComplex, "_flow", lambda self, start: {stray: 1})
+    with pytest.raises(VerificationFailed, match="outside its attached cells"):
+        morse.differential(cell)
 
 
 def test_closure_facets_of_two_cell(morse2):

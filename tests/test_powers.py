@@ -7,8 +7,10 @@ from morsepow import (
     NEG_INF,
     DuplicateGenerator,
     LengthMismatch,
+    Monomial,
     NotInSupport,
     PowerBasis,
+    Variables,
     colex_compare,
     descent_family,
     format_monomial,
@@ -20,6 +22,7 @@ from morsepow import (
     uniqueness_check,
     weak_compositions,
 )
+from morsepow.ordering import OrderedGenerators
 
 
 def test_counts():
@@ -27,6 +30,27 @@ def test_counts():
     assert power_vectors(1, 5) == [(5,)]
     assert len(power_vectors(4, 3)) == 20
     assert len(power_vectors(4, 3)) == comb(6, 3)
+    for q in range(1, 5):
+        for r in range(4):
+            out = list(weak_compositions(r, q))
+            assert out == sorted(set(out))  # distinct, in lexicographic order
+            assert len(out) == comb(r + q - 1, r)
+
+
+def test_long_vectors_do_not_recurse():
+    # one recursion level per slot would pass Python's recursion limit;
+    # PowerBasis only reads the generators, so single variables stand in
+    # for an ideal this wide
+    q = 1500
+    assert sum(1 for _ in weak_compositions(1, q)) == q
+    variables = Variables([f"x_{v}" for v in range(q)])
+    gens = [Monomial(((v, 1),)) for v in range(q)]
+    og = OrderedGenerators(
+        variables, gens, [frozenset()] * q, [0] * q, [frozenset()] * q, range(q)
+    )
+    basis = PowerBasis(og, 1)
+    assert basis.size == q
+    assert basis.monomials[0] == gens[-1]  # colex-largest vector first
 
 
 def test_descending_colex_order():
@@ -100,6 +124,11 @@ def test_moves(running):
     assert move_to_joint((0, 1, 1), 1, joints) == (1, 0, 1)
     with pytest.raises(NotInSupport):
         move_to_joint((1, 0, 1), 1, joints)
+    for slot in (-1, 3):  # outside the vector, not an index from its end
+        with pytest.raises(NotInSupport):
+            move_to_joint((1, 0, 1), slot, joints)
+        with pytest.raises(NotInSupport):
+            move_many((1, 0, 1), (slot,), joints)
 
 
 def test_move_many(running):

@@ -1,6 +1,7 @@
 import copy
 
 import pytest
+from hypothesis import example, given, settings
 
 from morsepow import (
     ONE,
@@ -17,7 +18,7 @@ from morsepow import (
     verify_minimality,
     verify_strand_acyclicity,
 )
-from conftest import path_complement_ideal
+from conftest import FIXED_CASES, LABEL_SHAPES, path_complement_ideal, tree_ideals
 
 
 @pytest.fixture(scope="module")
@@ -219,12 +220,22 @@ def test_every_label_comes_from_free_vertex_formula(res2, running):
             assert rebuilt == label
 
 
-def test_entry_shifts_are_label_ratios(res2):
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(tree_ideals(LABEL_SHAPES))
+@example(FIXED_CASES[0])
+@example(FIXED_CASES[1])
+@example(FIXED_CASES[2])
+@example(FIXED_CASES[3])
+def test_entry_shifts_are_label_ratios(case):
+    # the closed-form per-slot shifts against the ratios of the labels
     from morsepow import div_exact
 
-    for i in range(1, res2.length + 1):
-        for (row, col), (_, shift) in res2.maps[i].items():
-            assert shift == div_exact(res2.labels[i][col], res2.labels[i - 1][row])
+    og, r = case
+    complex = build_resolution(None, r, og=og)
+    for i in range(1, complex.length + 1):
+        assert complex.maps[i]
+        for (row, col), (_, shift) in complex.maps[i].items():
+            assert shift == div_exact(complex.labels[i][col], complex.labels[i - 1][row])
 
 
 def test_build_from_raw_generators():
