@@ -66,6 +66,24 @@ def test_critical_cells_equal_bruteforce(morse1, morse2, morse_path4):
         assert len(as_faces) == sum(fvector(morse))  # one face per cell
 
 
+def test_cell_face_roundtrip(morse2, morse_path4):
+    # read the cell back off its face: the first vertex is a, and each
+    # further vertex is the move of a at its last disagreement with a
+    for morse in (morse2, morse_path4):
+        vectors = morse.basis.vectors
+        joints = morse.basis.og.joints
+        for cells in morse.critical_cells():
+            for c in cells:
+                face = morse.cell_face(c)
+                a = vectors[face[0]]
+                moves = []
+                for v in face[1:]:
+                    j = last_disagreement(a, vectors[v])
+                    assert move_to_joint(a, j, joints) == vectors[v]
+                    moves.append(j)
+                assert CriticalCell(a, tuple(sorted(moves))) == c
+
+
 def test_cell_lcm_example(morse2, running):
     # label of the edge on (1,0,1) with the move at slot 2: the free
     # vertex of the third facet over its joint is y, giving x*y^2*z*u;
