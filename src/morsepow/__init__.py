@@ -37,13 +37,13 @@ from .monomials import (
     squarefree_part,
 )
 from .complexes import (
-    LeafCertificate,
     SimplicialComplex,
     complement,
     facet_complex,
-    find_joints,
     free_vertices,
     is_leaf_order,
+    leaf_joints,
+    prefix_joints,
     quasi_forest_order,
 )
 from .ordering import (

@@ -513,9 +513,15 @@ def main(argv=None) -> int:
             raise ParseError("an ideal is required: pass -i FILE or --gens")
         joints_override = None
         if args.tau_override:
-            joints_override = [
-                int(x) - 1 for x in args.tau_override.split(",") if x.strip()
-            ]
+            try:
+                joints_override = [
+                    int(x) - 1 for x in args.tau_override.split(",") if x.strip()
+                ]
+            except ValueError as exc:
+                raise ParseError(
+                    f"--tau-override takes comma-separated integers, "
+                    f"not {args.tau_override!r}"
+                ) from exc
         report, code, timings = run(
             args.subcommand,
             spec,

@@ -7,8 +7,6 @@ ideal.  Facets are frozensets of variable indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     EmptyComplementFacet,
     NotMinimalGenerating,
@@ -16,7 +14,7 @@ from .errors import (
     NotSquarefree,
     ParseError,
 )
-from .monomials import Variables, divides, is_squarefree
+from .monomials import Variables, is_squarefree
 
 
 class SimplicialComplex:
@@ -59,34 +57,22 @@ class SimplicialComplex:
         return f"SimplicialComplex<{', '.join(parts)}>"
 
 
-@dataclass(frozen=True)
-class LeafCertificate:
-    """Joint data for one facet: ``joint_indices`` lists every other facet
-    that contains all intersections of ``leaf_index`` with the rest."""
-
-    leaf_index: int
-    joint_indices: tuple[int, ...]
-    only_facet: bool
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.only_facet or bool(self.joint_indices)
-
-
 def facet_complex(generators, variables: Variables) -> SimplicialComplex:
     """The complex whose facets are the supports of the generators."""
     for m in generators:
         if not is_squarefree(m):
             raise NotSquarefree(f"generator {m} is not square-free")
+    # for square-free monomials divisibility is containment of supports
+    supports = [m.support for m in generators]
     for i, m in enumerate(generators):
         for j, m2 in enumerate(generators):
-            if i != j and divides(m, m2):
+            if i != j and supports[i] <= supports[j]:
                 raise NotMinimalGenerating(
                     f"generator {m} divides generator {m2}"
                 )
     if any(m.is_one() for m in generators):
         raise ParseError("the unit monomial 1 generates no proper ideal")
-    return SimplicialComplex(variables, [m.support for m in generators])
+    return SimplicialComplex(variables, supports)
 
 
 def complement(delta: SimplicialComplex) -> SimplicialComplex:
@@ -107,20 +93,21 @@ def complement(delta: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(delta.variables, facets)
 
 
-def find_joints(delta: SimplicialComplex, facet_index: int) -> LeafCertificate:
-    """All valid joints of one facet.
+def leaf_joints(others, facet: frozenset[int]) -> tuple[int, ...]:
+    """Positions in ``others`` of the facets containing every
+    intersection of ``facet`` with ``others``.
 
-    F is a leaf iff it is the only facet or some other facet G contains
-    F's intersection with every remaining facet; every such G is
-    reported.
+    ``facet`` is a leaf of the complex spanned by it and ``others`` iff
+    ``others`` is empty or some position is returned; each returned
+    facet is a joint of the leaf.
     """
-    f = delta.facets[facet_index]
-    others = [i for i in range(delta.q) if i != facet_index]
-    if not others:
-        return LeafCertificate(facet_index, (), True)
-    touched = frozenset().union(*(f & delta.facets[i] for i in others))
-    joints = tuple(i for i in others if touched <= delta.facets[i])
-    return LeafCertificate(facet_index, joints, False)
+    touched = frozenset().union(*(facet & g for g in others))
+    return tuple(k for k, g in enumerate(others) if touched <= g)
+
+
+def prefix_joints(facets) -> list[tuple[int, ...]]:
+    """``leaf_joints`` of each facet among its predecessors."""
+    return [leaf_joints(facets[:i], facets[i]) for i in range(len(facets))]
 
 
 def quasi_forest_order(delta: SimplicialComplex) -> tuple[int, ...]:
@@ -133,25 +120,18 @@ def quasi_forest_order(delta: SimplicialComplex) -> tuple[int, ...]:
     """
     remaining = list(range(delta.q))
     peeled = []
-    while remaining:
-        if len(remaining) == 1:
-            peeled.append(remaining.pop())
-            break
-        sub = SimplicialComplex(delta.variables, [delta.facets[i] for i in remaining])
-        leaves = [
-            remaining[k]
-            for k in range(len(remaining))
-            if find_joints(sub, k).is_leaf
-        ]
-        if not leaves:
+    while len(remaining) > 1:
+        facets = [delta.facets[i] for i in remaining]
+        for k in reversed(range(len(facets))):
+            if leaf_joints(facets[:k] + facets[k + 1 :], facets[k]):
+                peeled.append(remaining.pop(k))
+                break
+        else:
             raise NotQuasiForest(
                 "no facet of the remaining complex is a leaf",
                 remaining_facets=[delta.facet_names(i) for i in remaining],
             )
-        pick = max(leaves)
-        remaining.remove(pick)
-        peeled.append(pick)
-    return tuple(reversed(peeled))
+    return tuple(reversed(peeled + remaining))
 
 
 def is_leaf_order(delta: SimplicialComplex, order) -> bool:
@@ -160,13 +140,7 @@ def is_leaf_order(delta: SimplicialComplex, order) -> bool:
     order = list(order)
     if sorted(order) != list(range(delta.q)):
         return False
-    for i in range(1, len(order)):
-        sub = SimplicialComplex(
-            delta.variables, [delta.facets[j] for j in order[: i + 1]]
-        )
-        if not find_joints(sub, i).is_leaf:
-            return False
-    return True
+    return all(prefix_joints([delta.facets[i] for i in order])[1:])
 
 
 def free_vertices(prefix_facets, facet: frozenset[int]) -> frozenset[int]:

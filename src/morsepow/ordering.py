@@ -17,7 +17,7 @@ from .complexes import (
     complement,
     facet_complex,
     free_vertices,
-    is_leaf_order,
+    prefix_joints,
     quasi_forest_order,
 )
 from .errors import (
@@ -81,23 +81,6 @@ class ResolutionTree:
     edges: tuple[tuple[int, int, Monomial], ...]
 
 
-def _validate_joints(facets, joints):
-    """Each joints[i] must pick an earlier facet containing every
-    intersection of facets[i] with its predecessors."""
-    q = len(facets)
-    if len(joints) != q or joints[0] != 0:
-        raise InvalidJointChoice(f"joint list must start at 0 and have length {q}")
-    for i in range(1, q):
-        u = joints[i]
-        if not 0 <= u < i:
-            raise InvalidJointChoice(f"joints[{i}]={u} is not an earlier index")
-        touched = frozenset().union(*(facets[i] & facets[h] for h in range(i)))
-        if not touched <= facets[u]:
-            raise InvalidJointChoice(
-                f"facet {i} meets its predecessors outside facet {u}"
-            )
-
-
 def order_generators(
     generators,
     variables: Variables,
@@ -116,10 +99,11 @@ def order_generators(
     generators = list(generators)
     if not generators:
         raise NotProjectiveDimensionOne("no generators given")
+    q = len(generators)
 
     delta = facet_complex(generators, variables)  # validates the input
 
-    used = frozenset().union(*(m.support for m in generators))
+    used = set().union(*delta.facets)
     unused = [variables.name(i) for i in range(len(variables)) if i not in used]
     if unused:
         warnings.warn(
@@ -128,15 +112,19 @@ def order_generators(
             stacklevel=2,
         )
 
-    if len(generators) == 1:
+    if joints_override is not None and (
+        len(joints_override) != q or joints_override[0] != 0
+    ):
+        raise InvalidJointChoice(f"joint list must start at 0 and have length {q}")
+    if q == 1:
         return OrderedGenerators(
             variables, generators, [frozenset()], [0], [frozenset()], [0]
         )
 
     delta_c = complement(delta)
-    if is_leaf_order(delta_c, range(delta_c.q)):
-        order = tuple(range(delta_c.q))
-    else:
+    order = tuple(range(q))
+    candidates = prefix_joints(delta_c.facets)
+    if not all(candidates[1:]):
         try:
             order = quasi_forest_order(delta_c)
         except NotQuasiForest as exc:
@@ -144,22 +132,23 @@ def order_generators(
                 "the complement facet complex is not a quasi-forest",
                 remaining_facets=exc.remaining_facets,
             ) from exc
-    if not is_leaf_order(delta_c, order):
-        raise VerificationFailed(f"order {order} is not a leaf order")
+        # checked apart from the peeling that produced it
+        candidates = prefix_joints([delta_c.facets[i] for i in order])
+        if not all(candidates[1:]):
+            raise VerificationFailed(f"order {order} is not a leaf order")
 
     facets = [delta_c.facets[i] for i in order]
     ordered = [generators[i] for i in order]
 
-    joints = [0]
-    for i in range(1, len(facets)):
-        touched = frozenset().union(*(facets[i] & facets[h] for h in range(i)))
-        candidates = [u for u in range(i) if touched <= facets[u]]
-        if not candidates:
-            raise VerificationFailed(f"leaf order validated but facet {i} has no joint")
-        joints.append(min(candidates))
+    joints = [0] + [c[0] for c in candidates[1:]]
     if joints_override is not None:
         joints = list(joints_override)
-        _validate_joints(facets, joints)
+        for i in range(1, q):
+            if joints[i] not in candidates[i]:
+                raise InvalidJointChoice(
+                    f"joints[{i}]={joints[i]} is not an earlier facet holding "
+                    f"every meet of facet {i} with its predecessors"
+                )
 
     free_sets = [frozenset()]
     for i in range(1, len(facets)):

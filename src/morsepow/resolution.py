@@ -20,7 +20,7 @@ from .matching import TaylorMatching
 from .monomials import ONE, Monomial, Variables, format_monomial
 from .morse import CriticalCell, MorseComplex, closure_facets
 from .ordering import OrderedGenerators, order_generators
-from .powers import PowerBasis, support
+from .powers import PowerBasis
 
 
 @dataclass
@@ -136,18 +136,13 @@ def betti(complex: ChainComplex) -> BettiTable:
 
 
 def betti_closed_form(q: int, r: int) -> tuple[int, ...]:
-    """Rank in degree i as a sum of binomials over the weight-r vectors:
-    choose i of each vector's support slots beyond the first."""
-    from .powers import weak_compositions
-
-    counts: list[int] = []
-    for a in weak_compositions(r, q):
-        s = len(support(a) - {0})
-        while len(counts) <= s:
-            counts.append(0)
-        for i in range(s + 1):
-            counts[i] += comb(s, i)
-    return tuple(counts)
+    """Rank in degree i: choose i of the slots 1..q-1, then a weight-r
+    vector positive on them, C(q-1, i) * C(r-i+q-1, q-1)."""
+    if q < 1:
+        raise ValueError("need q >= 1")
+    return tuple(
+        comb(q - 1, i) * comb(r - i + q - 1, q - 1) for i in range(min(r, q - 1) + 1)
+    )
 
 
 def pd_formula(q: int, r: int) -> int:

@@ -264,6 +264,15 @@ def test_tau_override_flag(capsys, tmp_path):
     assert "warnings" in report  # unused variable b
     code, out = run_cli(capsys, "betti", "-i", str(p), "--tau-override", "1,1,3")
     assert code == EXIT_PARSE
+    # a lone generator still gets its joint list checked
+    code, out = run_cli(capsys, "betti", "--gens", "x*y", "-r", "2", "--tau-override", "3,7")
+    assert code == EXIT_PARSE
+    assert json.loads(out)["error"]["type"] == "InvalidJointChoice"
+    code, out = run_cli(capsys, "betti", "--gens", "x*y", "-r", "2", "--tau-override", "1")
+    assert code == EXIT_OK
+    code, out = run_cli(capsys, "betti", "-i", str(p), "--tau-override", "1,a")
+    assert code == EXIT_PARSE
+    assert json.loads(out)["error"]["type"] == "ParseError"
 
 
 def test_out_file_and_text_format(capsys, running_json, tmp_path):

@@ -11,9 +11,9 @@ from morsepow import (
     Variables,
     complement,
     facet_complex,
-    find_joints,
     free_vertices,
     is_leaf_order,
+    leaf_joints,
     order_generators,
     parse_generators,
     quasi_forest_order,
@@ -96,22 +96,23 @@ def test_complement_is_involution(running_complement, tetra_boundary):
 
 def test_find_joints_example(running_complement):
     # F = {x, y}: exhaustive check over both candidates leaves only {x, u}
-    cert = find_joints(running_complement, 2)
-    assert cert.is_leaf
-    assert [names(XYZU, running_complement.facets[i]) for i in cert.joint_indices] == [
-        {"x", "u"}
-    ]
+    zu, xu, xy = running_complement.facets
+    assert leaf_joints([zu, xu], xy) == (1,)
+    # {z, u} meets {x, u} only in u, which {x, u} itself holds
+    assert leaf_joints([xu, xy], zu) == (0,)
 
 
 def test_single_facet_is_leaf():
+    # with nothing else the facet is a leaf with no joint
     delta = cx(Variables("xyz"), "xy")
-    cert = find_joints(delta, 0)
-    assert cert.only_facet and cert.is_leaf and cert.joint_indices == ()
+    assert leaf_joints([], delta.facets[0]) == ()
+    assert is_leaf_order(delta, (0,))
 
 
 def test_tetrahedron_has_no_leaf(tetra_boundary):
+    facets = tetra_boundary.facets
     for i in range(4):
-        assert not find_joints(tetra_boundary, i).is_leaf
+        assert leaf_joints(facets[:i] + facets[i + 1 :], facets[i]) == ()
 
 
 def test_quasi_forest_order_running(running_complement):

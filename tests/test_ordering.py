@@ -1,8 +1,15 @@
+import warnings
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morsepow import (
     InvalidJointChoice,
+    Monomial,
     NotProjectiveDimensionOne,
+    SimplicialComplex,
+    Variables,
     check_pd1,
     divides,
     format_monomial,
@@ -137,6 +144,15 @@ def test_joints_override_validated(running):
         order_generators(gens, variables, joints_override=[0, 0, 0])
     og = order_generators(gens, variables, joints_override=[0, 0, 1])
     assert og.joints == (0, 0, 1)
+    for bad in ([0, 0], [1, 0, 1], [0, 1, 1], [0, 0, 2], [0, 0, -1]):
+        with pytest.raises(InvalidJointChoice):
+            order_generators(gens, variables, joints_override=bad)
+    # a lone generator has no joint to choose, but the list is still checked
+    gens, variables = ideal(["x*y"])
+    for bad in ([2, 6], [1], []):
+        with pytest.raises(InvalidJointChoice):
+            order_generators(gens, variables, joints_override=bad)
+    assert order_generators(gens, variables, joints_override=[0]).joints == (0,)
 
 
 def test_joints_override_allows_second_joint():
@@ -158,3 +174,56 @@ def test_duplicate_generators_rejected():
     gens, variables = ideal(["x*y", "x*y"])
     with pytest.raises(Exception):
         order_generators(gens, variables)
+
+
+@st.composite
+def graph_ideals(draw):
+    """A random simple graph on n >= 3 vertices with at least one edge,
+    as the ideal whose complement facets are its edges (generator e is
+    the product of the variables outside e), edges in a random order."""
+    n = draw(st.integers(3, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=n, unique=True))
+    gens = [Monomial.from_dict({v: 1 for v in range(n) if v not in e}) for e in edges]
+    return edges, gens, Variables([f"x_{v}" for v in range(n)])
+
+
+def is_forest(edges):
+    parent = {}
+
+    def root(v):
+        while parent.get(v, v) != v:
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        ru, rv = root(u), root(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graph_ideals())
+def test_pd1_exactly_on_forest_graphs(case):
+    # a graph is a quasi-forest exactly when it is a forest; judged here by
+    # union-find, and the order and joints by the leaf definition itself
+    edges, gens, variables = case
+    with warnings.catch_warnings():
+        # a vertex on every edge is a variable in no generator
+        warnings.simplefilter("ignore")
+        ok, og = check_pd1(gens, variables)
+    assert ok == is_forest(edges)
+    if not ok or og.q == 1:
+        return
+    assert list(og.facets) == [frozenset(edges[k]) for k in og.permutation]
+    for i in range(1, og.q):
+        prefix = SimplicialComplex(variables, og.facets[: i + 1])
+        *earlier, facet = prefix.facets
+        touched = frozenset()
+        for g in earlier:
+            touched |= facet & g
+        valid = [u for u, g in enumerate(earlier) if touched <= g]
+        assert valid, f"facet {i} is not a leaf of its prefix"
+        assert og.joints[i] == valid[0]

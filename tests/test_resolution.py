@@ -1,4 +1,5 @@
 import copy
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,9 +15,11 @@ from morsepow import (
     pd_formula,
     pd_sequence,
     strand_degrees,
+    support,
     verify_d2,
     verify_minimality,
     verify_strand_acyclicity,
+    weak_compositions,
 )
 from conftest import FIXED_CASES, LABEL_SHAPES, path_complement_ideal, tree_ideals
 
@@ -83,6 +86,15 @@ def test_betti_closed_form_and_alternating_sum(running, path4, star3, pair2, sin
         totals = betti(complex).totals
         assert totals == betti_closed_form(og.q, r)
         assert sum((-1) ** i * b for i, b in enumerate(totals)) == 1
+    # the closed form against the direct count: each weight-r vector
+    # contributes C(|supp(a) minus slot 0|, i) in degree i
+    for q in range(1, 7):
+        for r in range(1, 7):
+            sizes = [len(support(a) - {0}) for a in weak_compositions(r, q)]
+            expected = tuple(
+                sum(comb(s, i) for s in sizes) for i in range(max(sizes) + 1)
+            )
+            assert betti_closed_form(q, r) == expected, (q, r)
 
 
 def test_pair2_betti_at_power_three(pair2):
