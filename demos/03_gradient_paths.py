@@ -3,8 +3,8 @@
 The cell on (0,1,1) with moves at slots 2 and 3 attaches to four edges.
 Two of them are literal subfaces; the other two are reached by gradient
 paths, and the canonical explicit path agrees with brute-force
-enumeration.  The path sum gives the Morse differential, whose square is
-zero.
+enumeration.  The path sum gives the Morse differential, which equals
+the closed-form cube boundary the build uses, and whose square is zero.
 """
 
 from morsepow import (
@@ -56,6 +56,9 @@ print("\nMorse differential of the 2-cell:")
 for sub, coeff, shift in morse.differential(cell):
     print(f"  {coeff:+d} * {format_monomial(shift, variables):4} * "
           f"{show(morse.cell_face(sub))}")
+
+print("\nequal to the closed-form cube boundary:",
+      set(morse.differential(cell)) == set(morse.cube_boundary(cell)))
 
 print("\nboundary of the boundary (must cancel):")
 total = {}

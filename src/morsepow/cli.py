@@ -287,7 +287,7 @@ def _verify_section(morse, complex, classes, cap, chars, skip_large: bool):
             for c, label in zip(cells, labels)
         ),
     )
-    record("gradient_paths_match_closure", lambda: morse.paths_match_closure(cap))
+    record("gradient_paths_match_closure", lambda: morse.paths_match_closure(complex, cap))
     record("differentials_compose_to_zero", lambda: verify_d2(complex))
     record("minimality", lambda: verify_minimality(complex))
     for char in chars:

@@ -14,7 +14,7 @@ from .errors import (
     NotSquarefree,
     ParseError,
 )
-from .monomials import Variables, is_squarefree
+from .monomials import Variables, format_monomial, is_squarefree
 
 
 class SimplicialComplex:
@@ -59,19 +59,24 @@ class SimplicialComplex:
 
 def facet_complex(generators, variables: Variables) -> SimplicialComplex:
     """The complex whose facets are the supports of the generators."""
+    # the unit divides every generator, so it is named before any
+    # divisibility failure
+    if any(m.is_one() for m in generators):
+        raise ParseError("the unit monomial 1 generates no proper ideal")
     for m in generators:
         if not is_squarefree(m):
-            raise NotSquarefree(f"generator {m} is not square-free")
+            raise NotSquarefree(
+                f"generator {format_monomial(m, variables)} is not square-free"
+            )
     # for square-free monomials divisibility is containment of supports
     supports = [m.support for m in generators]
     for i, m in enumerate(generators):
         for j, m2 in enumerate(generators):
             if i != j and supports[i] <= supports[j]:
                 raise NotMinimalGenerating(
-                    f"generator {m} divides generator {m2}"
+                    f"generator {format_monomial(m, variables)} divides "
+                    f"generator {format_monomial(m2, variables)}"
                 )
-    if any(m.is_one() for m in generators):
-        raise ParseError("the unit monomial 1 generates no proper ideal")
     return SimplicialComplex(variables, supports)
 
 

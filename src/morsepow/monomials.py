@@ -228,9 +228,13 @@ def parse_generators(texts, variables: Variables | None = None):
     """Parse a list of monomial strings.
 
     When ``variables`` is None the variable list is inferred from the
-    union of supports, in order of first appearance.  Returns
-    (monomials, variables).
+    union of supports, in order of first appearance.  An empty string
+    is a ParseError naming its 1-based position.  Returns (monomials,
+    variables).
     """
+    for pos, t in enumerate(texts, 1):
+        if not t.strip():
+            raise ParseError(f"generator {pos} is empty")
     token_lists = [_tokenize(t, variables or ()) for t in texts]
     if variables is None:
         names: list[str] = []

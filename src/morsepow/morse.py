@@ -3,15 +3,22 @@
 A critical cell is a pair (a, moves): the face consisting of the vector
 a together with its single moves at the slots in ``moves``.  The Morse
 complex has one i-cell per critical cell with |moves| = i.  Its
-differential is computed by the standard discrete-Morse path sum: walk
-from each facet of a critical cell through alternating up/down steps of
-the matching until critical cells are reached, multiplying incidence
-signs (up steps contribute the negated incidence of the reversed
-inclusion).  Labels and shifts are closed-form: the label of (a, moves)
-is m^a times the free vertices of each moved slot, and each entry's
-shift is fixed by the one move it drops.  Everything here stays inside
-small neighbourhoods of one cell, so resolutions are built without
-enumerating the Taylor complex.
+differential is the boundary of a cube in the cell's move coordinates
+(``MorseComplex.cube_boundary``): dropping the p-th move gives the cell
+that keeps the vector with sign -(-1)^p and the cell on the moved vector
+with sign (-1)^p.  Labels and shifts are closed-form too: the label of
+(a, moves) is m^a times the free vertices of each moved slot, and each
+entry's shift is fixed by the one move it drops.  Everything here stays
+inside small neighbourhoods of one cell, so resolutions are built
+without enumerating the Taylor complex.
+
+The standard discrete-Morse path sum stays as the oracle: walk from each
+facet of a critical cell through alternating up/down steps of the
+matching until critical cells are reached, multiplying incidence signs
+(up steps contribute the negated incidence of the reversed inclusion).
+``MorseComplex.differential`` sums the memoized flow, and
+``MorseComplex.paths_match_closure`` sums ``path_weight`` over the
+enumerated gradient paths and compares the totals with a built complex.
 """
 
 from __future__ import annotations
@@ -43,8 +50,9 @@ def closure_facets(cell: CriticalCell, joints) -> list[CriticalCell]:
     cell in the Morse complex: drop one move, on the vector itself or on
     its moved copy."""
     out = []
-    for k in cell.moves:
-        rest = tuple(j for j in cell.moves if j != k)
+    moves = cell.moves
+    for p, k in enumerate(moves):
+        rest = moves[:p] + moves[p + 1:]
         out.append(CriticalCell(cell.a, rest))
         out.append(CriticalCell(move_to_joint(cell.a, k, joints), rest))
     # the two families can never collide: their top vectors differ
@@ -117,8 +125,30 @@ class MorseComplex:
         """``closure_facets`` with this complex's joints."""
         return closure_facets(cell, self.basis.og.joints)
 
+    def cube_boundary(self, cell: CriticalCell):
+        """Boundary of a critical cell in closed form: list of (cell',
+        coefficient, shift), the boundary of a cube in the cell's move
+        coordinates.
+
+        Dropping the p-th move k gives the cell keeping the vector with
+        coefficient -(-1)^p and shift x^(F_k - F_joint(k)), and the cell
+        on the moved vector with coefficient (-1)^p and shift
+        x^(F_joint(k) - F_k).  ``differential`` computes the same list
+        from the gradient flow.
+        """
+        closure = self.closure_facets(cell)
+        out = []
+        sign = -1
+        # closure_facets lists, per move, the cell keeping the vector and
+        # then the cell on the moved vector
+        for k, stay, moved in zip(cell.moves, closure[::2], closure[1::2]):
+            out.append((stay, sign, self._stay_shift[k]))
+            out.append((moved, -sign, self._move_shift[k]))
+            sign = -sign
+        return out
+
     # ------------------------------------------------------------------
-    # gradient flow and the differential
+    # gradient flow and the path-sum differential
 
     def _flow(self, start: Face) -> dict[Face, int]:
         """Signed count of gradient paths from ``start`` to each critical
@@ -162,23 +192,22 @@ class MorseComplex:
         return memo[start]
 
     def differential(self, cell: CriticalCell):
-        """Boundary of a critical cell: list of (cell', coefficient,
-        shift) with unit coefficients and shift = label(cell) /
-        label(cell').
+        """Boundary of a critical cell by the gradient-path sum: list of
+        (cell', coefficient, shift) with unit coefficients and shift =
+        label(cell) / label(cell').
 
+        This is the oracle for ``cube_boundary``, which the build uses.
         Every cell' is an attached cell that drops one move k, and the
         shift depends on k alone: x^(F_k - F_joint(k)) when cell' keeps
         the vector, x^(F_joint(k) - F_k) when it holds the moved vector.
-        A flow end outside the attached cells raises VerificationFailed.
+        A facet matched down, a non-unit coefficient or a flow end
+        outside the attached cells raises VerificationFailed.
         """
         face = self.cell_face(cell)
-        attached: dict[Face, tuple[CriticalCell, Monomial]] = {}
-        closure = self.closure_facets(cell)
-        # closure_facets lists, per move, the cell keeping the vector and
-        # then the cell on the moved vector
-        for k, stay, moved in zip(cell.moves, closure[::2], closure[1::2]):
-            attached[self.cell_face(stay)] = (stay, self._stay_shift[k])
-            attached[self.cell_face(moved)] = (moved, self._move_shift[k])
+        attached: dict[Face, tuple[CriticalCell, Monomial]] = {
+            self.cell_face(sub): (sub, shift)
+            for sub, _, shift in self.cube_boundary(cell)
+        }
         coeffs: dict[Face, int] = {}
         for v in face:
             sgn = incidence(face, v)
@@ -282,6 +311,9 @@ class MorseComplex:
         return self.matching.arrow(faces[-1]).kind == CRITICAL
 
     def path_weight(self, path: GradientPath) -> int:
+        """Signed weight of a gradient path: the product over its up/down
+        steps of the negated incidence of the up step and the incidence
+        of the down step.  ``paths_match_closure`` sums it per end."""
         w = 1
         for t in range(0, len(path.faces) - 1, 2):
             low, high, nxt = path.faces[t], path.faces[t + 1], path.faces[t + 2]
@@ -326,31 +358,58 @@ class MorseComplex:
         paths = self.gradient_paths(start, cap).get(end, [])
         return sorted(paths, key=lambda p: p.faces)
 
-    def paths_match_closure(self, cap: int) -> bool:
-        """Gradient-path oracle.  From the facet of each critical cell
-        that drops its vector, the gradient paths end exactly on the
-        attached cells on moved vectors, and the explicit path to each of
-        them is among those paths; the attached cells that keep the vector
-        are literal subfaces.  One search per cell, each bounded by
-        ``cap`` steps (TooLarge beyond it)."""
+    def paths_match_closure(self, complex, cap: int) -> bool:
+        """Gradient-path oracle for ``complex``, a built ``ChainComplex``
+        on this complex's critical cells.  From the facet of each
+        critical cell that drops its vector, the gradient paths end
+        exactly on the attached cells on moved vectors, and the explicit
+        path to each of them is among those paths; the attached cells
+        that keep the vector are literal subfaces.  The incidence sign of
+        each literal subface and the signed ``path_weight`` sums of the
+        paths found give the path-sum differential, which must equal the
+        cell's column in ``complex.maps``.  One search per cell, each
+        bounded by ``cap`` steps (TooLarge beyond it)."""
         top_of = self.basis.index_of
-        for cells in self.critical_cells()[1:]:
+        by_dim = self.critical_cells()
+        if complex.basis != by_dim:
+            return False
+        columns: dict[CriticalCell, dict[Face, int]] = {}
+        for i, entries in complex.maps.items():
+            rows, cols = complex.basis[i - 1], complex.basis[i]
+            for (row, col), (c, _) in entries.items():
+                columns.setdefault(cols[col], {})[self.cell_face(rows[row])] = c
+        for cells in by_dim[1:]:
             for cell in cells:
                 face = self.cell_face(cell)
-                closure = self.closure_facets(cell)
-                for sub in closure:
-                    if sub.a == cell.a and not set(self.cell_face(sub)) <= set(face):
-                        return False
-                if cell.dim < 2:
-                    continue
                 top = top_of[cell.a]
-                ends = self.gradient_paths(tuple(v for v in face if v != top), cap)
-                # one attached cell on a moved vector per move, in move order
-                moved = [self.cell_face(sub) for sub in closure if sub.a != cell.a]
-                if set(ends) != set(moved):
-                    return False
-                for k, end in zip(cell.moves, moved):
-                    explicit = self.explicit_path(cell.a, cell.moves, k)
-                    if explicit.faces not in {p.faces for p in ends[end]}:
+                start = tuple(v for v in face if v != top)
+                closure = self.closure_facets(cell)
+                sums: dict[Face, int] = {}
+                for sub in closure:
+                    if sub.a != cell.a:
+                        continue
+                    # a literal subface: one vertex fewer, one vertex dropped
+                    sub_face = self.cell_face(sub)
+                    dropped = set(face) - set(sub_face)
+                    if len(dropped) != 1:
                         return False
+                    sums[sub_face] = incidence(face, dropped.pop())
+                if cell.dim < 2:
+                    # the facet dropping the vector is itself critical
+                    sums[start] = incidence(face, top)
+                else:
+                    ends = self.gradient_paths(start, cap)
+                    # one attached cell on a moved vector per move, in move order
+                    moved = [self.cell_face(sub) for sub in closure if sub.a != cell.a]
+                    if set(ends) != set(moved):
+                        return False
+                    for k, end in zip(cell.moves, moved):
+                        explicit = self.explicit_path(cell.a, cell.moves, k)
+                        if explicit.faces not in {p.faces for p in ends[end]}:
+                            return False
+                    sign = incidence(face, top)
+                    for end, paths in ends.items():
+                        sums[end] = sign * sum(map(self.path_weight, paths))
+                if {f: c for f, c in sums.items() if c} != columns.get(cell, {}):
+                    return False
         return True

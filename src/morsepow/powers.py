@@ -9,6 +9,7 @@ basic move shifts one unit of exponent from a slot to its joint.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from .errors import DuplicateGenerator, LengthMismatch, NotInSupport
@@ -133,7 +134,6 @@ class PowerBasis:
         self.exponents = self._exponents()
         if len(set(self.exponents)) != len(self.exponents):
             uniqueness_check(og, r)  # raises DuplicateGenerator with a witness
-        self.monomials = [Monomial.from_exponents(x) for x in self.exponents]
         self._families: dict[int, frozenset[int]] = {}
         self._moves: dict[tuple[int, int], int] = {}
 
@@ -151,6 +151,12 @@ class PowerBasis:
                         x[v] += e * k
             out.append(tuple(x))
         return out
+
+    @cached_property
+    def monomials(self) -> list[Monomial]:
+        """The generators as sparse monomials, made on first use (the
+        build reads only the dense exponents)."""
+        return [Monomial.from_exponents(x) for x in self.exponents]
 
     @property
     def size(self) -> int:

@@ -67,6 +67,11 @@ def build_resolution(
     ``generators`` may be monomials (with ``variables``) or an already
     ordered structure can be passed via ``og``.  Raises
     NotProjectiveDimensionOne when the ideal does not qualify.
+
+    Each column of the differential is the closed-form cube boundary
+    of its cell (``MorseComplex.cube_boundary``); the build walks no
+    gradient flow.  The flow and its path sums are the oracle that
+    ``MorseComplex.paths_match_closure`` compares with these maps.
     """
     if r < 1:
         raise ValueError("the power r must be at least 1")
@@ -80,7 +85,7 @@ def build_resolution(
         index = {cell: row for row, cell in enumerate(basis[i - 1])}
         entries: dict[tuple[int, int], tuple[int, Monomial]] = {}
         for col, cell in enumerate(basis[i]):
-            for sub, coeff, shift in morse.differential(cell):
+            for sub, coeff, shift in morse.cube_boundary(cell):
                 entries[(index[sub], col)] = (coeff, shift)
         maps[i] = entries
     return ChainComplex(og, r, basis, labels, maps)

@@ -129,7 +129,15 @@ def test_parse_error_exit_code(capsys, tmp_path):
     p.write_text("I = (x*y, x*y*z)", encoding="utf-8")
     code, out = run_cli(capsys, "betti", "-i", str(p))
     assert code == EXIT_PARSE
-    assert json.loads(out)["error"]["type"] == "NotMinimalGenerating"
+    err = json.loads(out)["error"]
+    assert err["type"] == "NotMinimalGenerating"
+    assert err["message"] == "generator x*y divides generator x*y*z"
+    # x1*x2 is read as x^1 * x^2 = x^3, and the message says so
+    code, out = run_cli(capsys, "check", "--gens", "x1*x2,x2*x3")
+    assert code == EXIT_PARSE
+    err = json.loads(out)["error"]
+    assert err["type"] == "NotSquarefree"
+    assert err["message"] == "generator x^3 is not square-free"
 
 
 def test_missing_ideal_is_parse_error(capsys):
@@ -325,6 +333,26 @@ def test_broken_involution_exits_verification(capsys, running_json, monkeypatch)
     assert json.loads(out)["error"]["type"] == "VerificationFailed"
 
 
+def test_flipped_differential_sign_fails_gradient_paths(
+    capsys, running_json, monkeypatch
+):
+    import morsepow.cli as cli
+
+    build = cli.build_resolution
+
+    def flipped(*args, **kwargs):
+        complex = build(*args, **kwargs)
+        (key, (coeff, shift)), *_ = sorted(complex.maps[1].items())
+        complex.maps[1][key] = (-coeff, shift)
+        return complex
+
+    monkeypatch.setattr(cli, "build_resolution", flipped)
+    code, out = run_cli(capsys, "verify", "-i", running_json)
+    assert code == EXIT_VERIFICATION
+    checks = json.loads(out)["verify"]["checks"]
+    assert checks["gradient_paths_match_closure"] == "FAIL"
+
+
 def test_all_skips_gradient_paths_over_cap(capsys):
     gens = "c*d*e,a*d*e,a*b*e,a*b*c"
     code, out = run_cli(capsys, "all", "--gens", gens, "-r", "4", "--cap", "10")
@@ -352,10 +380,28 @@ def test_verify_gradient_paths_over_cap_exits_too_large(
     assert checks["matching_acyclic"] == "PASS"
 
 
-def test_unit_generator_is_a_parse_error(capsys):
+def test_unit_generator_is_a_parse_error(capsys, tmp_path):
     code, out = run_cli(capsys, "check", "--gens", "1", "--vars", "x,y")
     assert code == EXIT_PARSE
     assert json.loads(out)["error"]["type"] == "ParseError"
+    # beside other generators the unit is named, not reported as a divisor
+    code, out = run_cli(capsys, "check", "--gens", "1,x*y")
+    assert code == EXIT_PARSE
+    err = json.loads(out)["error"]
+    assert err["type"] == "ParseError" and "unit monomial" in err["message"]
+    # an empty generator is a parse error naming its position
+    code, out = run_cli(capsys, "check", "--gens", "x*y,,y*z")
+    assert code == EXIT_PARSE
+    assert json.loads(out)["error"] == {
+        "type": "ParseError", "message": "generator 2 is empty"
+    }
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps({"gens": ["x*y", ""]}), encoding="utf-8")
+    code, out = run_cli(capsys, "check", "-i", str(p))
+    assert code == EXIT_PARSE
+    assert json.loads(out)["error"] == {
+        "type": "ParseError", "message": "generator 2 is empty"
+    }
 
 
 def test_underscore_names_in_single_factor_generators(capsys):

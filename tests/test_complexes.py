@@ -60,17 +60,29 @@ def test_facet_complex_single_facet():
 
 
 def test_facet_complex_rejects_bad_input():
+    # messages name the generators as the user writes them
     gens, variables = parse_generators(["x*y", "x*y*z"])
-    with pytest.raises(NotMinimalGenerating):
+    with pytest.raises(NotMinimalGenerating) as exc:
         facet_complex(gens, variables)
+    assert str(exc.value) == "generator x*y divides generator x*y*z"
     gens, variables = parse_generators(["x^2*y"])
-    with pytest.raises(NotSquarefree):
+    with pytest.raises(NotSquarefree) as exc:
         facet_complex(gens, variables)
-    # a unit generator, as in the one-edge tree ideal, is a typed input error
-    with pytest.raises(ParseError):
-        facet_complex([ONE], XYZU)
-    with pytest.raises(ParseError):
-        order_generators([ONE], XYZU)
+    assert str(exc.value) == "generator x^2*y is not square-free"
+    # the explicit form reads x1*x2 as x^1 * x^2 = x^3
+    gens, variables = parse_generators(["x1*x2", "x2*x3"])
+    with pytest.raises(NotSquarefree) as exc:
+        facet_complex(gens, variables)
+    assert str(exc.value) == "generator x^3 is not square-free"
+    # a unit generator, as in the one-edge tree ideal, is a typed input error,
+    # also beside other generators, which it divides
+    for gens in ([ONE], [ONE, parse_generators(["x*y"], XYZU)[0][0]]):
+        with pytest.raises(ParseError, match="unit monomial"):
+            facet_complex(gens, XYZU)
+        with pytest.raises(ParseError, match="unit monomial"):
+            order_generators(gens, XYZU)
+    with pytest.raises(ParseError, match="^generator 2 is empty$"):
+        parse_generators(["x*y", " ", "y*z"])
 
 
 def test_complement_of_running_example():

@@ -1,3 +1,4 @@
+import copy
 from itertools import combinations
 from math import comb
 
@@ -11,6 +12,7 @@ from morsepow import (
     PowerBasis,
     TaylorMatching,
     VerificationFailed,
+    build_resolution,
     colex_compare,
     format_monomial,
     last_disagreement,
@@ -36,6 +38,11 @@ def morse1(running):
 @pytest.fixture(scope="module")
 def morse_path4(path4):
     return MorseComplex(TaylorMatching(PowerBasis(path4, 2)))
+
+
+@pytest.fixture(scope="module")
+def complex_path4(path4):
+    return build_resolution(None, 2, og=path4)
 
 
 def fvector(morse):
@@ -117,6 +124,27 @@ def test_cell_lcm_matches_face_lcm_everywhere(case):
             label = morse.cell_lcm(c)
             assert label == morse.matching.face_lcm(face)
             assert label == lcm_all(og.power_monomial(vectors[v]) for v in face)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(tree_ideals(LABEL_SHAPES))
+@example(FIXED_CASES[0])
+@example(FIXED_CASES[1])
+@example(FIXED_CASES[2])
+@example(FIXED_CASES[3])
+def test_flow_differential_equals_built_columns(case):
+    # the gradient-flow path sum against the closed-form cube boundary
+    # that the build emits: same cells, coefficients and shifts per column
+    og, r = case
+    complex = build_resolution(None, r, og=og)
+    morse = MorseComplex(TaylorMatching(PowerBasis(og, r)))
+    for i in range(1, len(complex.basis)):
+        columns = {}
+        for (row, col), entry in complex.maps[i].items():
+            columns.setdefault(col, {})[complex.basis[i - 1][row]] = entry
+        for col, cell in enumerate(complex.basis[i]):
+            flow = {sub: (c, shift) for sub, c, shift in morse.differential(cell)}
+            assert flow == columns[col]
 
 
 def test_differential_rejects_flow_end_outside_closure(running, monkeypatch):
@@ -371,11 +399,14 @@ def test_critical_faces_inside_move_closure(morse2, morse_path4):
 @pytest.mark.parametrize("name", ["running", "path4"])
 @pytest.mark.parametrize("r", [2, 3])
 def test_gradient_path_oracle_passes(request, name, r):
-    morse = MorseComplex(TaylorMatching(PowerBasis(request.getfixturevalue(name), r)))
-    assert morse.paths_match_closure(cap=1 << 20)
+    og = request.getfixturevalue(name)
+    morse = MorseComplex(TaylorMatching(PowerBasis(og, r)))
+    assert morse.paths_match_closure(build_resolution(None, r, og=og), cap=1 << 20)
 
 
-def test_gradient_path_oracle_detects_wrong_explicit_end(morse_path4, monkeypatch):
+def test_gradient_path_oracle_detects_wrong_explicit_end(
+    morse_path4, complex_path4, monkeypatch
+):
     explicit = MorseComplex.explicit_path
 
     def wrong_end(self, a, moves, k):
@@ -384,24 +415,40 @@ def test_gradient_path_oracle_detects_wrong_explicit_end(morse_path4, monkeypatc
         return explicit(self, a, moves, other)
 
     monkeypatch.setattr(MorseComplex, "explicit_path", wrong_end)
-    assert not morse_path4.paths_match_closure(cap=1 << 20)
+    assert not morse_path4.paths_match_closure(complex_path4, cap=1 << 20)
 
 
-def test_gradient_path_oracle_detects_wrong_closure(morse_path4, monkeypatch):
+def test_gradient_path_oracle_detects_wrong_closure(
+    morse_path4, complex_path4, monkeypatch
+):
     closure = MorseComplex.closure_facets
 
     def same_top_only(self, cell):
         return [sub for sub in closure(self, cell) if sub.a == cell.a]
 
     monkeypatch.setattr(MorseComplex, "closure_facets", same_top_only)
-    assert not morse_path4.paths_match_closure(cap=1 << 20)
+    assert not morse_path4.paths_match_closure(complex_path4, cap=1 << 20)
 
 
-def test_gradient_path_oracle_respects_cap(morse_path4):
+@pytest.mark.parametrize("name", ["running", "path4"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_gradient_path_oracle_checks_built_signs(request, name, degree):
+    og = request.getfixturevalue(name)
+    morse = MorseComplex(TaylorMatching(PowerBasis(og, 2)))
+    complex = build_resolution(None, 2, og=og)
+    assert morse.paths_match_closure(complex, 1 << 20)
+    # flip one sign of the built differential
+    broken = copy.deepcopy(complex)
+    (key, (coeff, shift)), *_ = sorted(broken.maps[degree].items())
+    broken.maps[degree][key] = (-coeff, shift)
+    assert not morse.paths_match_closure(broken, 1 << 20)
+
+
+def test_gradient_path_oracle_respects_cap(morse_path4, complex_path4):
     from morsepow import TooLarge
 
     with pytest.raises(TooLarge):
-        morse_path4.paths_match_closure(cap=1)
+        morse_path4.paths_match_closure(complex_path4, cap=1)
 
 
 def test_paths_bruteforce_filters_the_one_search(morse_path4):
@@ -418,7 +465,8 @@ def test_paths_bruteforce_filters_the_one_search(morse_path4):
 
 
 def test_facet_matched_down_raises(running, monkeypatch):
-    from morsepow import DOWN, UP, MatchArrow, VerificationFailed, build_resolution
+    # the build no longer reads the matching; the path-sum oracle does
+    from morsepow import DOWN, UP, MatchArrow, VerificationFailed
 
     arrow = TaylorMatching.arrow
 
@@ -429,5 +477,6 @@ def test_facet_matched_down_raises(running, monkeypatch):
         return ar
 
     monkeypatch.setattr(TaylorMatching, "arrow", broken)
-    with pytest.raises(VerificationFailed):
-        build_resolution(None, 2, og=running)
+    morse = MorseComplex(TaylorMatching(PowerBasis(running, 2)))
+    with pytest.raises(VerificationFailed, match="matched down"):
+        morse.differential(CriticalCell((0, 1, 1), (1, 2)))

@@ -250,6 +250,25 @@ def test_entry_shifts_are_label_ratios(case):
             assert shift == div_exact(complex.labels[i][col], complex.labels[i - 1][row])
 
 
+def test_build_walks_no_gradient_flow(running, monkeypatch):
+    # the columns come from the closed-form cube boundary: neither the
+    # matching's arrows nor the flow are consulted
+    from morsepow import MorseComplex, TaylorMatching
+
+    expected = build_resolution(None, 3, og=running)
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("the build walked the gradient flow")
+
+    monkeypatch.setattr(TaylorMatching, "arrow", forbidden)
+    monkeypatch.setattr(MorseComplex, "_flow", forbidden)
+    complex = build_resolution(None, 3, og=running)
+    assert complex.basis == expected.basis
+    assert complex.labels == expected.labels
+    assert complex.maps == expected.maps
+    assert complex.maps[2]
+
+
 def test_build_from_raw_generators():
     from conftest import ideal
 
