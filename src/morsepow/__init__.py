@@ -95,6 +95,7 @@ from .resolution import (
     verify_d2,
     verify_minimality,
     verify_strand_acyclicity,
+    verify_strands,
 )
 
 __version__ = "0.1.0"

@@ -11,13 +11,14 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
 from math import comb, gcd
-from operator import le
+from operator import or_
 
 from .errors import VerificationFailed
 from .matching import TaylorMatching
-from .monomials import ONE, Monomial, Variables, format_monomial
+from .monomials import Monomial, Variables, format_monomial
 from .morse import CriticalCell, MorseComplex, closure_facets
 from .ordering import OrderedGenerators, order_generators
 from .powers import PowerBasis
@@ -37,10 +38,6 @@ class ChainComplex:
     basis: list[list[CriticalCell]]
     labels: list[list[Monomial]]
     maps: dict[int, dict[tuple[int, int], tuple[int, Monomial]]]
-    # (labels it was computed from, strand_degrees of them)
-    _strand_cache: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def variables(self) -> Variables:
@@ -211,23 +208,32 @@ def verify_d2(complex: ChainComplex) -> bool:
     composition vanishes exactly when the integer coefficient matrices
     multiply to zero.
     """
-    for i in range(2, complex.length + 1):
-        lower = complex.maps[i - 1]
-        upper = complex.maps[i]
-        by_col: dict[int, list[tuple[int, int]]] = {}
-        for (row, col), (c, _) in upper.items():
-            by_col.setdefault(col, []).append((row, c))
-        by_mid: dict[int, list[tuple[int, int]]] = {}
-        for (row, mid), (c, _) in lower.items():
-            by_mid.setdefault(mid, []).append((row, c))
-        for col, mids in by_col.items():
-            acc: dict[int, int] = {}
-            for mid, c1 in mids:
-                for row, c2 in by_mid.get(mid, ()):
-                    acc[row] = acc.get(row, 0) + c1 * c2
-            if any(v != 0 for v in acc.values()):
-                return False
-    return True
+    cols = _columns(complex)
+    return all(
+        _composes_to_zero(col, lower) for lower, upper in zip(cols, cols[1:]) for col in upper
+    )
+
+
+def _columns(complex: ChainComplex) -> list[list[list[tuple[int, int]]]]:
+    """``cols[i][j]``: the boundary of cell j of degree i as (row,
+    coefficient) pairs."""
+    cols: list[list[list[tuple[int, int]]]] = [[[] for _ in cells] for cells in complex.basis]
+    for i, entries in complex.maps.items():
+        for (row, col), (c, _) in entries.items():
+            cols[i][col].append((row, c))
+    return cols
+
+
+def _composes_to_zero(col, lower, mids: int = -1, rows: int = -1) -> bool:
+    """The boundary of the boundary ``col`` vanishes, exactly over Z, when
+    only the cells in the bitsets ``mids`` (of ``lower``) and ``rows``
+    (one degree further down) are kept; -1 keeps every cell."""
+    acc: dict[int, int] = {}
+    for mid, c1 in col:
+        for row, c2 in lower[mid] if mids >> mid & 1 else ():
+            if rows >> row & 1:
+                acc[row] = acc.get(row, 0) + c1 * c2
+    return not any(acc.values())
 
 
 def _is_prime(n: int) -> bool:
@@ -258,6 +264,20 @@ def check_field_char(char: int) -> None:
         raise ValueError(f"field characteristic must be 0 or a prime, not {char}")
 
 
+def _gf2_rank(vectors) -> int:
+    """Rank over GF(2) of int bitsets, reduced by XOR against pivot rows
+    that each own their leading bit."""
+    pivots: dict[int, int] = {}
+    for bits in vectors:
+        while bits:
+            pivot = pivots.get(lead := bits.bit_length() - 1)
+            if pivot is None:
+                pivots[lead] = bits
+                break
+            bits ^= pivot
+    return len(pivots)
+
+
 def _rank(vectors, char: int) -> int:
     """Rank over Q (char 0) or the prime field GF(char) of sparse integer
     vectors, each an iterable of (index, value) pairs with distinct
@@ -265,26 +285,14 @@ def _rank(vectors, char: int) -> int:
 
     The vectors are reduced one at a time against the pivot rows kept so
     far, each pivot row owning its leading index.  Over GF(2) a vector is
-    an int bitset and reduction is XOR.  Over GF(p) it is an
+    an int bitset (``_gf2_rank``).  Over GF(p) it is an
     {index: residue} dict with pivot rows scaled to a leading 1.  Over Q
     it is an {index: int} dict reduced fraction-free, with the gcd of its
     entries divided out after every step, so no fractions appear.
     """
-    pivots: dict = {}
     if char == 2:
-        for vec in vectors:
-            bits = 0
-            for k, x in vec:
-                if x & 1:
-                    bits ^= 1 << k
-            while bits:
-                lead = bits.bit_length() - 1
-                pivot = pivots.get(lead)
-                if pivot is None:
-                    pivots[lead] = bits
-                    break
-                bits ^= pivot
-        return len(pivots)
+        return _gf2_rank(sum(1 << k for k, x in vec if x & 1) for vec in vectors)
+    pivots: dict = {}
     for vec in vectors:
         row = {k: x % char if char else x for k, x in vec}
         row = {k: x for k, x in row.items() if x}
@@ -319,29 +327,37 @@ def _rank(vectors, char: int) -> int:
     return len(pivots)
 
 
-def _dense(m: Monomial, n: int) -> tuple[int, ...]:
-    """The exponent tuple of ``m`` over variables 0..n-1."""
-    e = [0] * n
-    for i, x in m.exps:
-        e[i] = x
-    return tuple(e)
-
-
 def _width(groups) -> int:
-    """How many dense exponent slots the monomials in ``groups`` need."""
+    """How many variables the monomials in ``groups`` need."""
     return 1 + max((i for ms in groups for m in ms for i, _ in m.exps), default=-1)
 
 
-def _lcm_closure(atoms: set) -> set:
-    """All lcms of nonempty sets of atoms, as dense exponent tuples.
+def _unary(groups) -> tuple[int, list[list[int]]]:
+    """The field width ``w`` and each monomial of ``groups`` as an int,
+    unary per variable: exponent x of variable v is the x lowest bits of
+    field v, bits v*w .. v*w+w-1, where w is the largest exponent.  The
+    lcm of two codes is then ``|``, and ``e`` divides ``d`` exactly when
+    ``not e & ~d``."""
+    w = max((x for ms in groups for m in ms for _, x in m.exps), default=1)
+    return w, [[sum(((1 << x) - 1) << v * w for v, x in m.exps) for m in ms] for ms in groups]
 
-    Every lcm of k+1 atoms is the lcm of an lcm of k atoms with one more
-    atom, so each new frontier is joined with the atoms only, never with
-    the whole growing closure."""
-    closed, frontier = set(atoms), atoms
-    while frontier:
-        frontier = {tuple(map(max, f, g)) for f in frontier for g in atoms} - closed
-        closed |= frontier
+
+def _monomial(code: int, w: int, n: int) -> Monomial:
+    """The monomial of a unary code over n fields of width w."""
+    mask = (1 << w) - 1
+    return Monomial(tuple((v, x) for v in range(n) if (x := (code >> v * w & mask).bit_length())))
+
+
+def _lcm_closure(labels: list[list[int]]) -> set[int]:
+    """All lcms of nonempty sets of the unary codes in ``labels``.  The
+    vertex labels come first, and a label already in the closure adds
+    nothing, so in a built resolution only the vertex labels are joined;
+    a hand-built complex may have a label outside their closure."""
+    closed: set[int] = set()
+    for e in (e for es in labels for e in es):
+        if e not in closed:
+            closed |= {e | c for c in closed}
+            closed.add(e)
     return closed
 
 
@@ -350,25 +366,9 @@ def strand_degrees(complex: ChainComplex) -> list[Monomial]:
     multidegrees where the label subcomplex can change.
 
     The vertex labels generate the closure of a built resolution, whose
-    every label is the lcm of a Taylor face's generators; a label outside
-    their closure (a hand-built complex may have one) is joined in too."""
-    n = _width(complex.labels)
-    labels = {_dense(m, n) for ms in complex.labels for m in ms}
-    atoms = {_dense(m, n) for m in complex.labels[0]} if complex.labels else set()
-    degrees = _lcm_closure(atoms)
-    if not labels <= degrees:
-        degrees = _lcm_closure(atoms | (labels - degrees))
-    return sorted(map(Monomial.from_exponents, degrees))
-
-
-def _strand_degrees_once(complex: ChainComplex) -> list[Monomial]:
-    """``strand_degrees`` of the complex, computed once for every field
-    checked while its labels stay the same."""
-    key = tuple(map(tuple, complex.labels))
-    cached = complex._strand_cache
-    if cached is None or cached[0] != key:
-        cached = complex._strand_cache = (key, strand_degrees(complex))
-    return cached[1]
+    every label is the lcm of a Taylor face's generators."""
+    n, (w, labels) = _width(complex.labels), _unary(complex.labels)
+    return sorted(_monomial(d, w, n) for d in _lcm_closure(labels))
 
 
 def _taylor_boundary(face, rows):
@@ -401,17 +401,15 @@ def taylor_betti(generators, char: int = 0) -> dict[tuple[int, Monomial], int]:
     check_field_char(char)
     gens = list(generators)
     q = len(gens)
-    n = _width([gens])
-    dense = [_dense(g, n) for g in gens]
-    labels: dict[tuple[int, ...], tuple[int, ...]] = {(): (0,) * n}
+    n, (w, (codes,)) = _width([gens]), _unary([gens])
+    labels: dict[tuple[int, ...], int] = {(): 0}
     for k in range(1, q + 1):
         for sub in combinations(range(q), k):
-            labels[sub] = tuple(map(max, labels[sub[:-1]], dense[sub[-1]]))
+            labels[sub] = labels[sub[:-1]] | codes[sub[-1]]
     out: dict[tuple[int, Monomial], int] = {}
-    for m in sorted({Monomial.from_exponents(e) for e in labels.values()} - {ONE}):
-        top = _dense(m, n)
+    for m, top in sorted((_monomial(t, w, n), t) for t in set(labels.values()) - {0}):
         # a face's label divides m exactly when each of its generators does
-        below = [g for g in range(q) if all(map(le, dense[g], top))]
+        below = [g for g in range(q) if not codes[g] & ~top]
         # sizes[k]: the faces of k generators whose label strictly divides m
         sizes: list[list[tuple[int, ...]]] = [[()]]
         for k in range(1, len(below) + 1):
@@ -432,63 +430,100 @@ def taylor_betti(generators, char: int = 0) -> dict[tuple[int, Monomial], int]:
     return out
 
 
-def _strand_is_acyclic(labels, cols, degree: tuple[int, ...], char: int) -> bool:
-    """Reduced homology of the subcomplex of cells whose label divides
-    the given degree, with the empty cell adjoined, must vanish.
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    ``labels[i]`` holds the dense exponent tuples of the degree-i labels
-    and ``cols[i][j]`` the boundary of cell j of degree i as (row,
-    coefficient) pairs; both are built once per complex.
-    """
-    keep = [{j for j, e in enumerate(es) if all(map(le, e, degree))} for es in labels]
-    if not keep[0]:
-        return False  # the empty degree supports no acyclic augmented complex
-    # the restricted boundary maps, degree i -> i-1, with the augmentation
-    # (every vertex maps to the empty cell with coefficient 1) as chain[0]
-    chain = [{j: [(0, 1)] for j in keep[0]}]
-    for i in range(1, len(keep)):
-        rows = keep[i - 1]
-        chain.append({j: [(r, c) for r, c in cols[i][j] if r in rows] for j in keep[i]})
-    # the restriction must still be a complex, exactly over Z
-    for lower, upper in zip(chain, chain[1:]):
-        for col in upper.values():
-            acc: dict[int, int] = {}
-            for mid, c1 in col:
-                for row, c2 in lower[mid]:
-                    acc[row] = acc.get(row, 0) + c1 * c2
-            if any(acc.values()):
-                return False
+
+def _strand_is_acyclic(index, keep, chars) -> dict[int, bool]:
+    """Reduced homology of the cells in ``keep`` (a bitset per degree of
+    the cells whose label divides one strand degree) must vanish: the
+    verdict over each field in ``chars``.  Degrees are shifted up by one
+    for the empty cell, which is always kept.  ``index`` holds, per
+    shifted degree, the boundary columns, their odd entries as bitsets
+    and the cells each column reaches in one and in two steps, and then
+    the verdicts of the exact-over-Z composition checks made so far."""
+    cols, odd, mids, reach, composes = index
+    cells = [_bits(m) for m in keep]
+    # the restriction must still be a complex, exactly over Z; a column's
+    # verdict depends only on which of the cells it reaches are kept
+    for k in range(2, len(keep)):
+        for j in cells[k]:
+            key = (k, j, mids[k][j] & keep[k - 1], reach[k][j] & keep[k - 2])
+            if key not in composes:
+                composes[key] = _composes_to_zero(cols[k][j], cols[k - 1], *key[2:])
+            if not composes[key]:
+                return dict.fromkeys(chars, False)
+
+    def rank(k: int, p: int) -> int:
+        # of the restricted map out of shifted degree k
+        if p == 2:
+            return _gf2_rank(odd[k][j] & keep[k - 1] for j in cells[k])
+        rows = keep[k - 1]
+        return _rank(([(r, c) for r, c in cols[k][j] if rows >> r & 1] for j in cells[k]), p)
 
     def exact(p: int) -> bool:
-        # reduced homology in degree i: dim ker d_i - rank d_{i+1}; the
-        # augmentation has rank 1 and so is onto the empty cell
-        below = 1
-        for i in range(len(chain)):
-            above = _rank(chain[i + 1].values(), p) if i + 1 < len(chain) else 0
-            if len(keep[i]) != below + above:
-                return False
-            below = above
-        return True
+        # homology vanishes in degree k when dim C_k = rk d_k + rk d_{k+1};
+        # in degree 0, the empty cell, that needs a kept vertex
+        ranks = [0] + [rank(k, p) for k in range(1, len(keep))] + [0]
+        return all(len(c) == ranks[k] + ranks[k + 1] for k, c in enumerate(cells))
 
     # Over a Z-complex, rk_2 <= rk_Q for every map and rk_Q(d_i) +
-    # rk_Q(d_{i+1}) <= dims[i], so a GF(2)-exact strand is Q-exact too;
-    # exact rational elimination runs only when the GF(2) verdict fails.
-    return (char == 0 and exact(2)) or exact(char)
+    # rk_Q(d_{i+1}) <= dims[i], so a GF(2)-exact strand is Q-exact too:
+    # chars 0 and 2 share one GF(2) pass, and exact rational elimination
+    # runs only when it fails.
+    gf2 = exact(2) if {0, 2} & set(chars) else None
+    return {c: gf2 if c == 2 else (c == 0 and gf2) or exact(c) for c in chars}
+
+
+def verify_strands(complex: ChainComplex, chars=(0, 2)) -> dict[int, bool]:
+    """Check every multidegree strand of the resolution is exact over
+    each field in ``chars`` (0 means the rationals, otherwise a prime).
+    One pass over the strand degrees restricts the complex once for
+    every field, and each field still gets its own exact verdict."""
+    for char in chars:
+        check_field_char(char)
+    n, (w, labels) = _width(complex.labels), _unary(complex.labels)
+    labels = [[0]] + labels  # the empty cell, whose label 1 divides every degree
+    # above[k][v*w + x]: the cells of shifted degree k whose exponent of v
+    # exceeds x, which is that bit of their label codes
+    above = [
+        [sum(1 << j for j, e in enumerate(es) if e >> b & 1) for b in range(n * w)]
+        for es in labels
+    ]
+    cols = [[[]]] + _columns(complex)
+    for col in cols[1] if len(cols) > 1 else ():
+        col.append((0, 1))  # the augmentation
+    odd = [[sum(1 << r for r, c in col if c & 1) for col in cs] for cs in cols]
+    mids = [[sum(1 << r for r, _ in col) for col in cs] for cs in cols]
+    reach = [
+        [reduce(or_, (lower[mid] for mid, _ in col), 0) for col in cs]
+        for cs, lower in zip(cols, [[]] + mids)
+    ]
+    index, mask = (cols, odd, mids, reach, {}), (1 << w) - 1
+    verdicts = dict.fromkeys(chars, True)
+    for degree in _lcm_closure(labels[1:]):
+        pending = [c for c, ok in verdicts.items() if ok]
+        if not pending:
+            break
+        # a label fails to divide the degree exactly when, in some field
+        # v, it has the first bit above the degree's exponent of v
+        cuts = [
+            b + x for b in range(0, n * w, w) if (x := (degree >> b & mask).bit_length()) < w
+        ]
+        keep = [
+            (1 << len(es)) - 1 & ~reduce(or_, (sliced[b] for b in cuts), 0)
+            for es, sliced in zip(labels, above)
+        ]
+        verdicts.update(_strand_is_acyclic(index, keep, pending))
+    return verdicts
 
 
 def verify_strand_acyclicity(complex: ChainComplex, field_char: int = 0) -> bool:
-    """Check every multidegree strand of the resolution is exact by
-    computing reduced homology of label subcomplexes over the chosen
-    field (0 means the rationals, otherwise a prime)."""
-    check_field_char(field_char)
-    degrees = _strand_degrees_once(complex)
-    n = _width(complex.labels)
-    labels = [[_dense(m, n) for m in ms] for ms in complex.labels]
-    cols: list[list[list[tuple[int, int]]]] = [[[] for _ in ms] for ms in labels]
-    for i, entries in complex.maps.items():
-        for (row, col), (c, _) in entries.items():
-            cols[i][col].append((row, c))
-
-    return all(
-        _strand_is_acyclic(labels, cols, _dense(m, n), field_char) for m in degrees
-    )
+    """``verify_strands`` over the one field ``field_char``."""
+    return verify_strands(complex, (field_char,))[field_char]

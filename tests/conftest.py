@@ -1,3 +1,5 @@
+import os
+import pathlib
 import warnings
 from math import comb
 
@@ -10,6 +12,19 @@ from morsepow import (
     order_generators,
     parse_generators,
 )
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def src_env() -> dict:
+    """The environment with the checkout's src/ first on PYTHONPATH, for
+    subprocesses that import the library."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def ideal(texts, var_names=None):

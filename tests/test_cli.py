@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import src_env
 
 from morsepow import ParseError
 from morsepow.cli import (
@@ -310,6 +311,7 @@ def test_console_script_runs():
         [sys.executable, "-m", "morsepow.cli", "pd", "-q", "4", "-r", "2"],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pd"]["pd"] == 2
@@ -402,6 +404,43 @@ def test_unit_generator_is_a_parse_error(capsys, tmp_path):
     assert json.loads(out)["error"] == {
         "type": "ParseError", "message": "generator 2 is empty"
     }
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("I = (x*y, , y*z); r = 2", 2), ("I = (x*y, y*z,); r = 2", 3)],
+)
+def test_text_form_rejects_blank_generator(capsys, tmp_path, text, position):
+    p = tmp_path / "blank.txt"
+    p.write_text(text, encoding="utf-8")
+    code, out = run_cli(capsys, "betti", "-i", str(p))
+    assert code == EXIT_PARSE
+    assert json.loads(out)["error"] == {
+        "type": "ParseError", "message": f"generator {position} is empty"
+    }
+
+
+def test_unreadable_input_file_is_parse_error(capsys, tmp_path):
+    for path in (tmp_path / "nosuchfile", tmp_path):
+        code, out = run_cli(capsys, "betti", "-i", str(path))
+        assert code == EXIT_PARSE
+        err = json.loads(out)["error"]
+        assert err["type"] == "ParseError"
+        assert err["message"].startswith("cannot read the ideal file: ")
+
+
+def test_strand_fields_share_one_timing(capsys, running_json):
+    code, out = run_cli(
+        capsys, "all", "-i", running_json, "--char", "3", "--char", "0", "--timings"
+    )
+    assert code == EXIT_OK
+    report = json.loads(out)
+    checks = list(report["verify"]["checks"])
+    assert checks[-3:] == [
+        "strand_acyclicity_char_3", "strand_acyclicity_char_0", "betti_closed_form"
+    ]
+    timed = [k for k in report["timings"] if k.startswith("strand")]
+    assert timed == ["strand_acyclicity"]
 
 
 def test_underscore_names_in_single_factor_generators(capsys):

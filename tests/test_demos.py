@@ -1,14 +1,12 @@
 """Each script in demos/ runs to completion against the library in src/,
 so a change to an API a demo calls cannot break it unseen."""
 
-import os
-import pathlib
 import subprocess
 import sys
 
 import pytest
+from conftest import ROOT, src_env
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -18,11 +16,7 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=ROOT
+        [sys.executable, str(demo)], capture_output=True, text=True, env=src_env(), cwd=ROOT
     )
     assert proc.returncode == 0, proc.stderr

@@ -261,5 +261,7 @@ except VerificationFailed:
     raise SystemExit(0)
 raise SystemExit(1)
 """
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True)
+    from conftest import src_env
+
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, env=src_env())
     assert proc.returncode == 0, proc.stderr

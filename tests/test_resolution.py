@@ -19,6 +19,7 @@ from morsepow import (
     verify_d2,
     verify_minimality,
     verify_strand_acyclicity,
+    verify_strands,
     weak_compositions,
 )
 from conftest import FIXED_CASES, LABEL_SHAPES, path_complement_ideal, tree_ideals
@@ -156,6 +157,10 @@ def test_strand_acyclicity_single_vertex(single):
     complex = build_resolution(None, 2, og=single)
     assert complex.ranks() == (1,)
     assert verify_strand_acyclicity(complex, 0)
+    # no cell at all: no strand degree, nothing to fail
+    from morsepow import ChainComplex
+
+    assert verify_strands(ChainComplex(None, 1, [], [], {}), (0, 2)) == {0: True, 2: True}
 
 
 def test_strand_acyclicity_negative_control(res2):
@@ -164,6 +169,8 @@ def test_strand_acyclicity_negative_control(res2):
     broken.maps[2][key] = (-coeff, shift)
     assert not verify_strand_acyclicity(broken, 0)
     assert not verify_strand_acyclicity(broken, 2)
+    # one shared pass fails every field
+    assert verify_strands(broken, (0, 2, 3)) == {0: False, 2: False, 3: False}
 
 
 def test_strand_acyclicity_rational_fallback():
@@ -180,6 +187,14 @@ def test_strand_acyclicity_rational_fallback():
     assert verify_strand_acyclicity(complex, 0)
     assert verify_strand_acyclicity(complex, 3)
     assert not verify_strand_acyclicity(complex, 2)
+    # in one pass the failed GF(2) rank, shared with char 0, decides neither
+    # char 0 nor char 3
+    assert verify_strands(complex, (0, 2, 3)) == {0: True, 2: False, 3: True}
+    assert verify_strands(complex, (2, 0)) == {2: False, 0: True}
+    # with boundary 3*edge instead the strand is exact over GF(2) and Q but
+    # not over GF(3), so a passing GF(2) rank must not decide char 3 either
+    complex.maps[2] = {(0, 0): (3, Monomial(()))}
+    assert verify_strands(complex, (0, 2, 3)) == {0: True, 2: True, 3: False}
 
 
 def test_strand_degrees_join_labels_outside_the_vertex_closure():
@@ -191,6 +206,101 @@ def test_strand_degrees_join_labels_outside_the_vertex_closure():
     xyz = Monomial.from_dict({0: 1, 1: 1, 2: 1})
     complex = ChainComplex(None, 1, [[None], [None, None]], [[x], [xy, xz]], {1: {}})
     assert strand_degrees(complex) == sorted([x, xy, xz, xyz])
+
+
+def _lcm_fixpoint(labels):
+    """The labels closed under pairwise lcm, by joining every pair of the
+    closure until nothing new appears."""
+    from morsepow import lcm
+
+    closed = set(labels)
+    while new := {lcm(a, b) for a in closed for b in closed} - closed:
+        closed |= new
+    return sorted(closed)
+
+
+def test_strand_degrees_with_mixed_exponents():
+    # vertex labels x^3*y, x*y^2, z, and a degree-1 label y^3 outside
+    # their closure, so the unary fields have width 3
+    from morsepow import ChainComplex, Monomial
+
+    labels = [
+        [Monomial.from_dict(e) for e in ({0: 3, 1: 1}, {0: 1, 1: 2}, {2: 1})],
+        [Monomial.from_dict({1: 3})],
+    ]
+    complex = ChainComplex(None, 1, [[None] * 3, [None]], labels, {1: {}})
+    degrees = strand_degrees(complex)
+    assert degrees == _lcm_fixpoint(labels[0] + labels[1])
+    assert len(degrees) == 13  # 7 lcms of the vertices, 6 more with y^3
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(tree_ideals())
+def test_strand_degrees_are_the_lcm_fixpoint_on_trees(case):
+    og, r = case
+    complex = build_resolution(None, r, og=og)
+    labels = [m for group in complex.labels for m in group]
+    assert strand_degrees(complex) == _lcm_fixpoint(labels)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(tree_ideals())
+def test_single_field_wrapper_is_the_shared_pass(case):
+    og, r = case
+    complex = build_resolution(None, r, og=og)
+    verdicts = verify_strands(complex, (0, 2, 3))
+    assert verdicts == {0: True, 2: True, 3: True}
+    for char, ok in verdicts.items():
+        assert verify_strand_acyclicity(complex, char) == ok
+
+
+def test_non_prime_rejected_before_any_strand(res2, monkeypatch):
+    import morsepow.resolution as resolution
+
+    checked = []
+    monkeypatch.setattr(resolution, "_strand_is_acyclic", lambda *a: checked.append(a))
+    with pytest.raises(ValueError, match="prime"):
+        verify_strands(res2, (0, 2, 4))
+    assert checked == []
+
+
+def test_strand_that_is_not_a_complex_fails_every_field(monkeypatch):
+    # the Koszul complex of (x, y, z) with d(e_xy) = a + b - 2c instead of
+    # b - a and d(t) = e_xy + e_xz + e_yz: a complex over Z whose strands
+    # are all exact except that the strand x*y drops c, keeps d(e_xy) =
+    # a + b, and so is no complex over Z, though its ranks over Q, GF(2)
+    # and GF(3) are those of an exact one
+    import morsepow.resolution as resolution
+    from morsepow import ChainComplex, Monomial
+
+    one = Monomial(())
+    x, y, z = (Monomial.from_dict({i: 1}) for i in range(3))
+    xy, xz, yz = (Monomial.from_dict({i: 1, j: 1}) for i, j in ((0, 1), (0, 2), (1, 2)))
+    xyz = Monomial.from_dict({0: 1, 1: 1, 2: 1})
+    d1 = {(0, 0): 1, (1, 0): 1, (2, 0): -2, (0, 1): -1, (2, 1): 1, (1, 2): -1, (2, 2): 1}
+    maps = {
+        1: {rc: (c, one) for rc, c in d1.items()},
+        2: {(row, 0): (1, one) for row in range(3)},
+    }
+    complex = ChainComplex(
+        None, 1, [[None] * 3, [None] * 3, [None]], [[x, y, z], [xy, xz, yz], [xyz]], maps
+    )
+    assert verify_d2(complex)
+    # either order of the strands: the composition check of e_xy in the
+    # strand x*y*z, where it passes, must not decide the strand x*y
+    closure = resolution._lcm_closure
+    for reverse in (False, True):
+        monkeypatch.setattr(
+            resolution, "_lcm_closure", lambda ls: sorted(closure(ls), reverse=reverse)
+        )
+        assert verify_strands(complex, (0, 2, 3)) == {0: False, 2: False, 3: False}
+    # with b - a restored it is the Koszul complex, exact in every strand
+    # (d(t) then needs the alternating signs)
+    maps[1][(0, 0)] = (-1, one)
+    del maps[1][(2, 0)]
+    maps[2][(1, 0)] = (-1, one)
+    assert verify_d2(complex)
+    assert verify_strands(complex, (0, 2, 3)) == {0: True, 2: True, 3: True}
 
 
 @pytest.mark.parametrize("char", [-2, 1, 4, 6, 9, 91, 561])
