@@ -71,11 +71,11 @@ from .matching import (
     CRITICAL,
     DOWN,
     UP,
+    FaceClasses,
     FaceStats,
     MatchArrow,
     TaylorMatching,
     is_matching,
-    vertex_matching,
     verify_matching_acyclic,
     verify_matching_homogeneous,
 )

@@ -28,13 +28,7 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .matching import (
-    TaylorMatching,
-    is_matching,
-    split_arrows,
-    verify_matching_acyclic,
-    verify_matching_homogeneous,
-)
+from .matching import TaylorMatching
 from .monomials import Variables, format_monomial, parse_generators
 from .morse import MorseComplex
 from .ordering import order_generators, resolution_tree
@@ -211,21 +205,23 @@ def _resolution_section(complex) -> dict:
 
 
 def _matching_section(matching: TaylorMatching, cap: int, with_faces: bool):
-    """The matching report, and the (faces, pairs, critical faces) of
-    its one face classification for the verifiers to reuse."""
-    classified = matching.enumerate_arrows(cap)
-    classes = split_arrows(classified)
+    """The matching report, and its one face classification for the
+    verifiers to reuse."""
+    classes = matching.classify(cap)
+    critical = classes.critical()
     by_dim: dict[int, int] = {}
-    for f in classes.critical:
+    for f in critical:
         by_dim[len(f) - 1] = by_dim.get(len(f) - 1, 0) + 1
+    faces = (1 << classes.n) - 1
     out = {
-        "faces": len(classes.faces),
-        "arrows": len(classes.pairs),
-        "critical": len(classes.critical),
+        "faces": faces,
+        # the classification checked the involution: matched faces pair up
+        "arrows": (faces - len(critical)) // 2,
+        "critical": len(critical),
         "critical_by_dim": [by_dim.get(d, 0) for d in range(max(by_dim) + 1)],
     }
     if with_faces:
-        out["records"] = matching.face_records(classified)
+        out["records"] = matching.face_records(classes)
     return out, classes
 
 
@@ -262,23 +258,15 @@ def _verify_section(morse, complex, classes, cap, chars, skip_large: bool):
                     f"brute-force verification needs 2**{size} faces, over the cap {cap}",
                     cap=cap,
                 )
-            classes = split_arrows(matching.enumerate_arrows(cap))
+            classes = matching.classify(cap)
         return classes
 
-    record("matching_is_matching", lambda: is_matching(face_classes().pairs))
-    record(
-        "matching_acyclic",
-        lambda: verify_matching_acyclic(face_classes().faces, face_classes().pairs),
-    )
-    record(
-        "matching_homogeneous",
-        lambda: verify_matching_homogeneous(
-            face_classes().pairs, matching.face_exponents
-        ),
-    )
+    record("matching_is_matching", lambda: face_classes().is_matching())
+    record("matching_acyclic", lambda: face_classes().acyclic())
+    record("matching_homogeneous", lambda: matching.homogeneous(face_classes()))
     record(
         "critical_cells_match_closed_form",
-        lambda: face_classes().critical == matching.critical_faces_closed_form(),
+        lambda: face_classes().critical() == matching.critical_faces_closed_form(),
     )
     record(
         "cell_labels_match_face_lcm",

@@ -6,17 +6,20 @@ face is critical, matched downward (its pivot vertex is removed) or
 matched upward (its pivot vertex is added), and no global enumeration is
 needed to classify one face.  The brute-force enumerators and verifiers
 in this module exist to check the matching's claimed properties at desk
-scale.
+scale.  They hold a face as an int mask (bit v = vertex v) and each
+per-face fact in a list indexed by mask.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, filterfalse
 from typing import NamedTuple
 
 from .errors import EmptyFace, TooLarge, VerificationFailed
-from .monomials import Monomial, format_monomial
+from .monomials import Monomial, bit_positions, format_monomial, unary_codes
 from .powers import NEG_INF, PowerBasis, last_disagreement
 
 Face = tuple[int, ...]
@@ -24,6 +27,12 @@ Face = tuple[int, ...]
 CRITICAL = "critical"
 UP = "up"
 DOWN = "down"
+
+# pivot entries of a face mask that is critical, or outside the family
+UNMATCHED = -1
+ABSENT = -2
+
+DEFAULT_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -46,18 +55,40 @@ class MatchArrow:
     pivot: int | None
 
 
+_CRITICAL_ARROW = MatchArrow(CRITICAL, None, None)
+
+
 def face_without(face: Face, v: int) -> Face:
-    return tuple(w for w in face if w != v)
+    """The face dropping its vertex v."""
+    i = face.index(v)
+    return face[:i] + face[i + 1 :]
 
 
 def face_with(face: Face, v: int) -> Face:
-    out = sorted(face + (v,))
-    return tuple(out)
+    i = bisect_left(face, v)
+    return face[:i] + (v,) + face[i:]
 
 
 def incidence(face: Face, v: int) -> int:
     """Sign of dropping vertex v from the face: (-1) ** position."""
     return -1 if face.index(v) % 2 else 1
+
+
+def _toggled(face: Face, v: int) -> Face:
+    return face_without(face, v) if v in face else face_with(face, v)
+
+
+def _arrow(face: Face, pivot: int) -> MatchArrow:
+    """The arrow a pivot determines: none for UNMATCHED, otherwise to
+    the face that toggles the pivot vertex."""
+    if pivot < 0:
+        return _CRITICAL_ARROW
+    return MatchArrow(DOWN if pivot in face else UP, _toggled(face, pivot), pivot)
+
+
+def _check_cap(n: int, cap: int) -> None:
+    if 1 << n > cap:
+        raise TooLarge(f"2**{n} faces exceed the cap of {cap}", cap=cap)
 
 
 class TaylorMatching:
@@ -79,68 +110,119 @@ class TaylorMatching:
     def face_lcm(self, face: Face) -> Monomial:
         return Monomial.from_exponents(self.face_exponents(face))
 
-    def face_stats(self, face: Face) -> FaceStats:
+    @cached_property
+    def _step_maxima(self) -> list[list[int]]:
+        """A sparse table of the last disagreement of each vector with
+        the next one: row k holds the largest of the 2**k steps from each
+        vector.  The vectors are in colex order, so the last disagreement
+        of vectors i < v is the largest step from i to v."""
+        vectors = self.basis.vectors
+        rows = [[last_disagreement(a, b) for a, b in zip(vectors, vectors[1:])]]
+        for k in range(len(rows[0]).bit_length() - 1):
+            rows.append(list(map(max, rows[k], rows[k][1 << k :])))
+        return rows
+
+    def _level(self, face: Face) -> tuple[int, float]:
+        """The top vertex of a nonempty face and its level.  The last
+        disagreement with the top vector never falls as the vertex index
+        grows, so the level is that of the face's last vertex outside the
+        top vector's descent family."""
         if not face:
             raise EmptyFace("the empty face is not classified")
         top = face[0]
-        family = self.basis.family_indices(top)
-        outside = [v for v in face if v not in family]
-        if not outside:
+        last = next(filterfalse(self.basis.family_indices(top).__contains__, reversed(face)), top)
+        if last == top:
+            return top, NEG_INF
+        k = (last - top).bit_length() - 1
+        row = self._step_maxima[k]
+        return top, max(row[top], row[last - (1 << k)])
+
+    def face_stats(self, face: Face) -> FaceStats:
+        top, level = self._level(face)
+        if level is NEG_INF:
             return FaceStats(top, NEG_INF, None)
-        vectors = self.basis.vectors
-        a = vectors[top]
-        level = max(last_disagreement(a, vectors[v]) for v in outside)
         return FaceStats(top, level, self.basis.move_index(top, level))
 
     def arrow(self, face: Face) -> MatchArrow:
         """Classify one face: critical when it sits inside the descent
         family of its top vertex, otherwise matched with the face that
         toggles the pivot vertex."""
-        st = self.face_stats(face)
-        if st.pivot is None:
-            return MatchArrow(CRITICAL, None, None)
-        if st.pivot in face:
-            return MatchArrow(DOWN, face_without(face, st.pivot), st.pivot)
-        return MatchArrow(UP, face_with(face, st.pivot), st.pivot)
+        top, level = self._level(face)
+        if level is NEG_INF:
+            return _CRITICAL_ARROW
+        return _arrow(face, self.basis.move_index(top, level))
 
     # ------------------------------------------------------------------
     # brute-force enumeration and verification
 
-    def all_faces(self, cap: int = 1 << 20) -> list[Face]:
+    def all_faces(self, cap: int = DEFAULT_CAP) -> list[Face]:
         n = self.basis.size
-        if 1 << n > cap:
-            raise TooLarge(
-                f"2**{n} faces exceed the cap of {cap}", cap=cap
-            )
+        _check_cap(n, cap)
         out: list[Face] = []
         for k in range(1, n + 1):
             out.extend(combinations(range(n), k))
         return out
 
-    def enumerate_arrows(self, cap: int = 1 << 20):
-        """Classify every nonempty face; matched faces must pair up.
+    def classify(self, cap: int = DEFAULT_CAP) -> FaceClasses:
+        """Classify every nonempty face with ``arrow``, in one pass.
 
-        Returns a list of (face, arrow).  The involution is checked:
-        the partner of a matched face is matched back to it with the
-        same pivot, else VerificationFailed is raised.
+        Each arrow must be the one its pivot determines: critical, or
+        down exactly when the pivot is in the face, to the face that
+        toggles the pivot.  The involution is checked too: the partner
+        of a matched face is matched back to it with the same pivot.
+        Else VerificationFailed is raised.
         """
-        faces = self.all_faces(cap)
-        classified = [(f, self.arrow(f)) for f in faces]
-        arrow_of = dict(classified)
-        for face, ar in classified:
-            if ar.kind == CRITICAL:
-                continue
-            back = MatchArrow(DOWN if ar.kind == UP else UP, face, ar.pivot)
-            if arrow_of[ar.partner] != back:
-                raise VerificationFailed(f"{ar.partner} is not matched back to {face}")
-        return classified
+        n = self.basis.size
+        _check_cap(n, cap)
+        pivot = [UNMATCHED] * (1 << n)
+        pivot[0] = ABSENT
+        arrow, bit, vertices = self.arrow, [1 << v for v in range(n)].__getitem__, range(n)
+        for k in range(1, n + 1):
+            for face in combinations(vertices, k):
+                ar = arrow(face)
+                p = ar.pivot
+                if ar.kind == CRITICAL and p is None and ar.partner is None:
+                    continue
+                if (
+                    p not in vertices
+                    or ar.kind != (DOWN if p in face else UP)
+                    or ar.partner != _toggled(face, p)
+                ):
+                    raise VerificationFailed(f"the arrow of {face} does not toggle its pivot: {ar}")
+                pivot[sum(map(bit, face))] = p
+        classes = FaceClasses(n, pivot)
+        f = classes.unmatched_back()
+        if f is not None:
+            partner = f ^ 1 << pivot[f]
+            raise VerificationFailed(
+                f"{tuple(bit_positions(partner))} is not matched back to {tuple(bit_positions(f))}"
+            )
+        return classes
 
-    def matched_pairs(self, cap: int = 1 << 20) -> list[tuple[Face, Face]]:
+    def enumerate_arrows(self, cap: int = DEFAULT_CAP) -> list[tuple[Face, MatchArrow]]:
+        """Every nonempty face with its arrow, by size and then
+        lexicographically: ``classify`` as a list of (face, arrow)."""
+        return list(self.classify(cap).arrows())
+
+    def matched_pairs(self, cap: int = DEFAULT_CAP) -> list[tuple[Face, Face]]:
         """The matching as (face, face minus pivot) pairs."""
-        return split_arrows(self.enumerate_arrows(cap)).pairs
+        return self.classify(cap).pairs()
 
-    def critical_faces_bruteforce(self, cap: int = 1 << 20) -> set[Face]:
-        return split_arrows(self.enumerate_arrows(cap)).critical
+    def critical_faces_bruteforce(self, cap: int = DEFAULT_CAP) -> set[Face]:
+        return self.classify(cap).critical()
+
+    def homogeneous(self, classes: FaceClasses) -> bool:
+        """Matched faces carry the same lcm label.  Labels are the
+        unary codes of ``unary_codes``, one per face mask, each the
+        ``|`` of the label of the face without its highest vertex and the
+        code of that vertex."""
+        _, (codes,) = unary_codes([self.basis.monomials])
+        labels = [0]
+        for c in codes:
+            labels += [x | c for x in labels]
+        return all(
+            labels[f] == labels[f ^ 1 << p] for f, p in enumerate(classes.pivot) if p >= 0
+        )
 
     def critical_faces_closed_form(self) -> set[Face]:
         """Faces contained in the descent family of their largest vertex:
@@ -153,8 +235,8 @@ class TaylorMatching:
                     out.add(tuple(sorted((i,) + sub)))
         return out
 
-    def face_records(self, classified):
-        """JSON-ready records of an ``enumerate_arrows`` result."""
+    def face_records(self, classes: FaceClasses):
+        """JSON-ready records of every face of a ``classify`` result."""
         variables = self.basis.og.variables
         return [
             {
@@ -163,40 +245,87 @@ class TaylorMatching:
                 "partner": None if ar.partner is None else list(ar.partner),
                 "lcm": format_monomial(self.face_lcm(face), variables),
             }
-            for face, ar in classified
+            for face, ar in classes.arrows()
         ]
 
 
 class FaceClasses(NamedTuple):
-    """One ``enumerate_arrows`` result without its arrows: every face,
-    the matched (face, face minus pivot) pairs, and the critical faces."""
+    """A family of faces over the vertices 0 .. n-1 and a matching on it:
+    ``pivot[mask]`` is ABSENT for a face outside the family, UNMATCHED
+    for a critical face, and otherwise the vertex that toggles to the
+    face's partner (matched down when the vertex is in the face)."""
 
-    faces: list[Face]
-    pairs: list[tuple[Face, Face]]
-    critical: set[Face]
+    n: int
+    pivot: list[int]
 
+    def arrows(self):
+        """(face, arrow) for every face of the family, by size and then
+        lexicographically."""
+        pivot, bit = self.pivot, [1 << v for v in range(self.n)].__getitem__
+        for k in range(self.n + 1):
+            for face in combinations(range(self.n), k):
+                p = pivot[sum(map(bit, face))]
+                if p != ABSENT:
+                    yield face, _arrow(face, p)
 
-def split_arrows(classified) -> FaceClasses:
-    """Split an ``enumerate_arrows`` result by the kind of each arrow."""
-    out = FaceClasses([], [], set())
-    for face, ar in classified:
-        out.faces.append(face)
-        if ar.kind == DOWN:
-            out.pairs.append((face, ar.partner))
-        elif ar.kind == CRITICAL:
-            out.critical.add(face)
-    return out
+    def pairs(self) -> list[tuple[Face, Face]]:
+        """The (face, face minus pivot) pairs, by the size and then the
+        lexicographic order of the larger face."""
+        return [(face, ar.partner) for face, ar in self.arrows() if ar.kind == DOWN]
 
+    def critical(self) -> set[Face]:
+        return {tuple(bit_positions(f)) for f, p in enumerate(self.pivot) if p == UNMATCHED}
 
-def vertex_matching(faces, v: int) -> list[tuple[Face, Face]]:
-    """Match each face containing v with the face dropping v, whenever
-    both lie in the given family.  Always an acyclic matching."""
-    face_set = set(faces)
-    return [
-        (f, face_without(f, v))
-        for f in sorted(face_set)
-        if v in f and face_without(f, v) in face_set
-    ]
+    def unmatched_back(self) -> int | None:
+        """The first matched face whose partner is not matched back to it
+        with the same pivot, or None."""
+        pivot = self.pivot
+        return next((f for f, p in enumerate(pivot) if p >= 0 and pivot[f ^ 1 << p] != p), None)
+
+    def is_matching(self) -> bool:
+        """No face has two partners: the pivots are an involution."""
+        return self.unmatched_back() is None
+
+    def acyclic(self) -> bool:
+        """Kahn's algorithm on the Hasse diagram of the family with each
+        matched edge reversed: down edges go from each face to its
+        facets in the family, and a matched pair gives the upward edge
+        instead.  Successors come from the mask and the pivot; only the
+        in-degrees are stored.  Needs ``is_matching``."""
+        n, pivot = self.n, self.pivot
+        indeg = bytearray(n - f.bit_count() for f in range(len(pivot)))
+        absent = [f for f, p in enumerate(pivot) if p == ABSENT]
+        for g in absent:
+            for v in bit_positions(g):
+                indeg[g ^ 1 << v] -= 1  # no edge from an absent coface
+        for g in absent:
+            indeg[g] = n + 2  # more than can reach it: it never enters the queue
+        for f, p in enumerate(pivot):
+            if p >= 0:
+                # the down edge from the partner, or the one to it, reverses
+                indeg[f] += 1 if f >> p & 1 else -1
+        queue = [f for f, d in enumerate(indeg) if not d]
+        push = queue.append
+        done = 0
+        while queue:
+            f = queue.pop()
+            done += 1
+            p = pivot[f]
+            toggle = 1 << p if p >= 0 else 0
+            down = f & ~toggle  # matched down: its edge to the partner reverses
+            while down:
+                low = down & -down
+                down ^= low
+                g = f ^ low
+                indeg[g] -= 1
+                if not indeg[g]:
+                    push(g)
+            if toggle & ~f:  # matched up: the reversed edge to the partner
+                g = f | toggle
+                indeg[g] -= 1
+                if not indeg[g]:
+                    push(g)
+        return done == len(pivot) - len(absent)
 
 
 def is_matching(arrows) -> bool:
@@ -211,39 +340,26 @@ def is_matching(arrows) -> bool:
 
 
 def verify_matching_acyclic(faces, arrows) -> bool:
-    """Build the face digraph with matched edges reversed and check it
-    has no directed cycle (Kahn's algorithm).
-
-    Down edges go from each face to its facets inside the family;
-    each matched pair contributes the reversed (upward) edge instead.
-    """
+    """``FaceClasses.acyclic`` on a family of tuple faces and a list of
+    (face, face minus one vertex) pairs; a pair with a side outside the
+    family, or whose sides are not a face and one of its facets, adds no
+    edge.  The family's vertices are renumbered 0 .. n-1, and 2**n may
+    not exceed the default cap (TooLarge)."""
     if not is_matching(arrows):
         return False
-    face_set = set(faces)
-    matched = set(arrows)
-    out: dict[Face, list[Face]] = {f: [] for f in face_set}
-    indeg: dict[Face, int] = {f: 0 for f in face_set}
-    for f in face_set:
-        for v in f:
-            sub = face_without(f, v)
-            if sub not in face_set:
-                continue
-            if (f, sub) in matched:
-                src, dst = sub, f
-            else:
-                src, dst = f, sub
-            out[src].append(dst)
-            indeg[dst] += 1
-    queue = [f for f in face_set if indeg[f] == 0]
-    done = 0
-    while queue:
-        f = queue.pop()
-        done += 1
-        for g in out[f]:
-            indeg[g] -= 1
-            if indeg[g] == 0:
-                queue.append(g)
-    return done == len(face_set)
+    faces = set(faces)
+    vertices = sorted({v for f in faces for v in f})
+    _check_cap(len(vertices), DEFAULT_CAP)
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    pivot = [ABSENT] * (1 << len(vertices))
+    for f in faces:
+        pivot[sum(map(bit.__getitem__, f))] = UNMATCHED
+    for up, down in arrows:
+        extra = set(up) - set(down)
+        if up in faces and down in faces and len(up) == len(down) + 1 and len(extra) == 1:
+            p = vertices.index(extra.pop())
+            pivot[sum(map(bit.__getitem__, up))] = pivot[sum(map(bit.__getitem__, down))] = p
+    return FaceClasses(len(vertices), pivot).acyclic()
 
 
 def verify_matching_homogeneous(arrows, lcm_of) -> bool:

@@ -167,6 +167,37 @@ def squarefree_part(indices) -> Monomial:
     return Monomial.from_dict({i: 1 for i in indices})
 
 
+def variable_span(groups) -> int:
+    """How many variables the monomials in ``groups`` need."""
+    return 1 + max((i for ms in groups for m in ms for i, _ in m.exps), default=-1)
+
+
+def unary_codes(groups) -> tuple[int, list[list[int]]]:
+    """The field width ``w`` and each monomial of ``groups`` as an int,
+    unary per variable: exponent x of variable v is the x lowest bits of
+    field v, bits v*w .. v*w+w-1, where w is the largest exponent.  The
+    lcm of two codes is then ``|``, and ``e`` divides ``d`` exactly when
+    ``not e & ~d``."""
+    w = max((x for ms in groups for m in ms for _, x in m.exps), default=1)
+    return w, [[sum(((1 << x) - 1) << v * w for v, x in m.exps) for m in ms] for ms in groups]
+
+
+def unary_monomial(code: int, w: int, n: int) -> Monomial:
+    """The monomial of a unary code over n fields of width w."""
+    mask = (1 << w) - 1
+    return Monomial(tuple((v, x) for v in range(n) if (x := (code >> v * w & mask).bit_length())))
+
+
+def bit_positions(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 _FACTOR = re.compile(r"([A-Za-z][A-Za-z0-9_]*?)(?:\^([0-9]+))?$")
 _COMPACT = re.compile(r"([A-Za-z])([0-9]*)")
 

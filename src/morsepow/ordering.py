@@ -117,9 +117,9 @@ def order_generators(
     ):
         raise InvalidJointChoice(f"joint list must start at 0 and have length {q}")
     if q == 1:
-        return OrderedGenerators(
-            variables, generators, [frozenset()], [0], [frozenset()], [0]
-        )
+        # the one complement facet holds the variables in no generator
+        facet = frozenset(range(len(variables))) - used
+        return OrderedGenerators(variables, generators, [facet], [0], [frozenset()], [0])
 
     delta_c = complement(delta)
     order = tuple(range(q))

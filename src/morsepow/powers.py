@@ -139,16 +139,18 @@ class PowerBasis:
 
     def _exponents(self) -> list[tuple[int, ...]]:
         """The dense exponent tuple, over every variable, of each
-        generator: the exponents of m_i summed a_i times each."""
-        gens = [g.exps for g in self.og.generators]
+        generator.  Generator i is the product of the variables outside
+        its complement facet F_i, so in m^a the exponent of v is r minus
+        the a_i of the facets holding v."""
+        facets = self.og.facets
         n = len(self.og.variables)
         out = []
         for a in self.vectors:
-            x = [0] * n
-            for g, e in zip(gens, a):
+            x = [self.r] * n
+            for f, e in zip(facets, a):
                 if e:
-                    for v, k in g:
-                        x[v] += e * k
+                    for v in f:
+                        x[v] -= e
             out.append(tuple(x))
         return out
 

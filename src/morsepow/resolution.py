@@ -18,7 +18,15 @@ from operator import or_
 
 from .errors import VerificationFailed
 from .matching import TaylorMatching
-from .monomials import Monomial, Variables, format_monomial
+from .monomials import (
+    Monomial,
+    Variables,
+    bit_positions,
+    format_monomial,
+    unary_codes,
+    unary_monomial,
+    variable_span,
+)
 from .morse import CriticalCell, MorseComplex, closure_facets
 from .ordering import OrderedGenerators, order_generators
 from .powers import PowerBasis
@@ -327,27 +335,6 @@ def _rank(vectors, char: int) -> int:
     return len(pivots)
 
 
-def _width(groups) -> int:
-    """How many variables the monomials in ``groups`` need."""
-    return 1 + max((i for ms in groups for m in ms for i, _ in m.exps), default=-1)
-
-
-def _unary(groups) -> tuple[int, list[list[int]]]:
-    """The field width ``w`` and each monomial of ``groups`` as an int,
-    unary per variable: exponent x of variable v is the x lowest bits of
-    field v, bits v*w .. v*w+w-1, where w is the largest exponent.  The
-    lcm of two codes is then ``|``, and ``e`` divides ``d`` exactly when
-    ``not e & ~d``."""
-    w = max((x for ms in groups for m in ms for _, x in m.exps), default=1)
-    return w, [[sum(((1 << x) - 1) << v * w for v, x in m.exps) for m in ms] for ms in groups]
-
-
-def _monomial(code: int, w: int, n: int) -> Monomial:
-    """The monomial of a unary code over n fields of width w."""
-    mask = (1 << w) - 1
-    return Monomial(tuple((v, x) for v in range(n) if (x := (code >> v * w & mask).bit_length())))
-
-
 def _lcm_closure(labels: list[list[int]]) -> set[int]:
     """All lcms of nonempty sets of the unary codes in ``labels``.  The
     vertex labels come first, and a label already in the closure adds
@@ -367,8 +354,8 @@ def strand_degrees(complex: ChainComplex) -> list[Monomial]:
 
     The vertex labels generate the closure of a built resolution, whose
     every label is the lcm of a Taylor face's generators."""
-    n, (w, labels) = _width(complex.labels), _unary(complex.labels)
-    return sorted(_monomial(d, w, n) for d in _lcm_closure(labels))
+    n, (w, labels) = variable_span(complex.labels), unary_codes(complex.labels)
+    return sorted(unary_monomial(d, w, n) for d in _lcm_closure(labels))
 
 
 def _taylor_boundary(face, rows):
@@ -401,13 +388,13 @@ def taylor_betti(generators, char: int = 0) -> dict[tuple[int, Monomial], int]:
     check_field_char(char)
     gens = list(generators)
     q = len(gens)
-    n, (w, (codes,)) = _width([gens]), _unary([gens])
+    n, (w, (codes,)) = variable_span([gens]), unary_codes([gens])
     labels: dict[tuple[int, ...], int] = {(): 0}
     for k in range(1, q + 1):
         for sub in combinations(range(q), k):
             labels[sub] = labels[sub[:-1]] | codes[sub[-1]]
     out: dict[tuple[int, Monomial], int] = {}
-    for m, top in sorted((_monomial(t, w, n), t) for t in set(labels.values()) - {0}):
+    for m, top in sorted((unary_monomial(t, w, n), t) for t in set(labels.values()) - {0}):
         # a face's label divides m exactly when each of its generators does
         below = [g for g in range(q) if not codes[g] & ~top]
         # sizes[k]: the faces of k generators whose label strictly divides m
@@ -430,16 +417,6 @@ def taylor_betti(generators, char: int = 0) -> dict[tuple[int, Monomial], int]:
     return out
 
 
-def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _strand_is_acyclic(index, keep, chars) -> dict[int, bool]:
     """Reduced homology of the cells in ``keep`` (a bitset per degree of
     the cells whose label divides one strand degree) must vanish: the
@@ -449,7 +426,7 @@ def _strand_is_acyclic(index, keep, chars) -> dict[int, bool]:
     and the cells each column reaches in one and in two steps, and then
     the verdicts of the exact-over-Z composition checks made so far."""
     cols, odd, mids, reach, composes = index
-    cells = [_bits(m) for m in keep]
+    cells = [bit_positions(m) for m in keep]
     # the restriction must still be a complex, exactly over Z; a column's
     # verdict depends only on which of the cells it reaches are kept
     for k in range(2, len(keep)):
@@ -488,7 +465,7 @@ def verify_strands(complex: ChainComplex, chars=(0, 2)) -> dict[int, bool]:
     every field, and each field still gets its own exact verdict."""
     for char in chars:
         check_field_char(char)
-    n, (w, labels) = _width(complex.labels), _unary(complex.labels)
+    n, (w, labels) = variable_span(complex.labels), unary_codes(complex.labels)
     labels = [[0]] + labels  # the empty cell, whose label 1 divides every degree
     # above[k][v*w + x]: the cells of shifted degree k whose exponent of v
     # exceeds x, which is that bit of their label codes

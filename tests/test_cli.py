@@ -450,3 +450,20 @@ def test_underscore_names_in_single_factor_generators(capsys):
     report = json.loads(out)
     assert report["input"]["variables"] == ["x_2", "x_0"]
     assert all(v == "PASS" for v in report["verify"]["checks"].values())
+
+
+def test_all_checks_matching_at_two_to_the_seventeen(capsys):
+    # 17 power generators, 2**17 faces, under the default cap: every
+    # matching check runs on the whole face poset
+    code, out = run_cli(capsys, "all", "--gens", "x*y,y*z", "-r", "16")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["matching"]["faces"] == (1 << 17) - 1
+    checks = report["verify"]["checks"]
+    for name in (
+        "matching_is_matching",
+        "matching_acyclic",
+        "matching_homogeneous",
+        "critical_cells_match_closed_form",
+    ):
+        assert checks[name] == "PASS"

@@ -1,6 +1,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from morsepow import (
     CRITICAL,
@@ -8,16 +10,32 @@ from morsepow import (
     NEG_INF,
     UP,
     EmptyFace,
+    FaceClasses,
+    MatchArrow,
     PowerBasis,
     TaylorMatching,
     TooLarge,
+    VerificationFailed,
     divides,
     format_monomial,
     is_matching,
-    vertex_matching,
+    last_disagreement,
     verify_matching_acyclic,
     verify_matching_homogeneous,
 )
+from morsepow.matching import ABSENT, UNMATCHED, face_without
+from conftest import FIXED_CASES, LABEL_SHAPES, tree_ideals
+
+
+def vertex_matching(faces, v: int):
+    """Match each face containing v with the face dropping v, whenever
+    both lie in the given family.  Always an acyclic matching."""
+    face_set = set(faces)
+    return [
+        (f, face_without(f, v))
+        for f in sorted(face_set)
+        if v in f and face_without(f, v) in face_set
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -265,3 +283,166 @@ raise SystemExit(1)
 
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
+
+
+def reference_acyclic(faces, arrows) -> bool:
+    """The dict-digraph Kahn that ``verify_matching_acyclic`` replaced,
+    kept as its oracle: build the face digraph with matched edges
+    reversed and check it has no directed cycle.
+
+    Down edges go from each face to its facets inside the family;
+    each matched pair contributes the reversed (upward) edge instead.
+    """
+    if not is_matching(arrows):
+        return False
+    face_set = set(faces)
+    matched = set(arrows)
+    out: dict = {f: [] for f in face_set}
+    indeg: dict = {f: 0 for f in face_set}
+    for f in face_set:
+        for v in f:
+            sub = face_without(f, v)
+            if sub not in face_set:
+                continue
+            if (f, sub) in matched:
+                src, dst = sub, f
+            else:
+                src, dst = f, sub
+            out[src].append(dst)
+            indeg[dst] += 1
+    queue = [f for f in face_set if indeg[f] == 0]
+    done = 0
+    while queue:
+        f = queue.pop()
+        done += 1
+        for g in out[f]:
+            indeg[g] -= 1
+            if indeg[g] == 0:
+                queue.append(g)
+    return done == len(face_set)
+
+
+@st.composite
+def paired_families(draw):
+    """A family of faces over at most six vertices, the empty face
+    allowed, and a list of (face, facet) pairs inside it: mostly
+    matchings, cyclic ones among them, and sometimes pairs that share a
+    face.  A few stray pairs leave the family or are not a face and one
+    of its facets."""
+    n = draw(st.integers(1, 6))
+    subsets = [f for k in range(n + 1) for f in combinations(range(n), k)]
+    if draw(st.booleans()):
+        faces = [f for f in subsets if f]
+    else:
+        faces = draw(st.lists(st.sampled_from(subsets), min_size=1, unique=True))
+    face_set = set(faces)
+    candidates = [
+        (f, face_without(f, v)) for f in faces for v in f if face_without(f, v) in face_set
+    ]
+    picks = draw(st.permutations(candidates))[: draw(st.integers(0, len(candidates)))]
+    arrows, used = [], set()
+    disjoint = draw(st.integers(0, 4)) > 0
+    for up, down in picks:
+        if disjoint and (up in used or down in used):
+            continue
+        arrows.append((up, down))
+        used |= {up, down}
+    if draw(st.integers(0, 3)) == 0:
+        arrows.append(draw(st.sampled_from([((0, 1), (1,)), ((0, 1), (2,)), ((7,), ())])))
+    return faces, arrows
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(paired_families())
+def test_mask_kahn_agrees_with_dict_digraph_kahn(case):
+    faces, arrows = case
+    assert verify_matching_acyclic(faces, arrows) == reference_acyclic(faces, arrows)
+
+
+def test_mask_kahn_agrees_on_every_pairing_of_the_triangle():
+    # every set of (face, facet) pairs on the full triangle, the empty
+    # face included: matchings acyclic and cyclic, and non-matchings
+    faces = [f for k in range(4) for f in combinations(range(3), k)]
+    candidates = [(f, face_without(f, v)) for f in faces for v in f]
+    verdicts = set()
+    for chosen in range(1 << len(candidates)):
+        arrows = [c for i, c in enumerate(candidates) if chosen >> i & 1]
+        got = verify_matching_acyclic(faces, arrows)
+        assert got == reference_acyclic(faces, arrows)
+        verdicts.add((is_matching(arrows), got))
+    assert verdicts == {(True, True), (True, False), (False, False)}
+
+
+def test_homogeneity_negative_control(m2):
+    # a vertex and an edge holding it have different labels: x*y*z*u
+    # against x*y^2*z*u
+    pair = (face(m2, (1, 0, 1), (1, 1, 0)), face(m2, (1, 0, 1)))
+    assert m2.face_lcm(pair[0]) != m2.face_lcm(pair[1])
+    assert not verify_matching_homogeneous([pair], m2.face_lcm)
+    assert not verify_matching_homogeneous([pair], m2.face_exponents)
+    # the mask form: the same pair as the one matched pair of a family
+    classes = m2.classify()
+    pivot = [p if p == ABSENT else UNMATCHED for p in classes.pivot]
+    up, down = (sum(1 << v for v in f) for f in pair)
+    pivot[up] = pivot[down] = (set(pair[0]) - set(pair[1])).pop()
+    assert FaceClasses(classes.n, pivot).is_matching()
+    assert not m2.homogeneous(FaceClasses(classes.n, pivot))
+    assert m2.homogeneous(classes)
+
+
+def test_wrong_partner_is_rejected(m2, monkeypatch):
+    # an arrow whose partner is not the face toggling its pivot
+    arrow = TaylorMatching.arrow
+
+    def shifted(self, face):
+        ar = arrow(self, face)
+        if ar.kind == UP and len(face) == 3:
+            return MatchArrow(UP, ar.partner[::-1], ar.pivot)
+        return ar
+
+    monkeypatch.setattr(TaylorMatching, "arrow", shifted)
+    with pytest.raises(VerificationFailed, match="does not toggle its pivot"):
+        TaylorMatching(m2.basis).classify()
+
+
+def test_classify_counts_and_records_order(m2):
+    classes = m2.classify()
+    assert classes.n == 6 and len(classes.pivot) == 64
+    arrows = list(classes.arrows())
+    assert [f for f, _ in arrows] == m2.all_faces()
+    assert all(ar == m2.arrow(f) for f, ar in arrows)
+    assert classes.pairs() == m2.matched_pairs()
+    assert classes.critical() == m2.critical_faces_closed_form()
+
+
+def face_stats_reference(matching, face):
+    """``face_stats`` read off its definition, one last_disagreement per
+    vertex outside the top vector's descent family."""
+    basis = matching.basis
+    top = face[0]
+    family = basis.family_indices(top)
+    outside = [v for v in face if v not in family]
+    if not outside:
+        return top, NEG_INF, None
+    a = basis.vectors[top]
+    level = max(last_disagreement(a, basis.vectors[v]) for v in outside)
+    return top, level, basis.move_index(top, level)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(tree_ideals(LABEL_SHAPES))
+@example(FIXED_CASES[0])
+@example(FIXED_CASES[1])
+@example(FIXED_CASES[2])
+@example(FIXED_CASES[3])
+def test_face_stats_matches_its_definition(case):
+    og, r = case
+    matching = TaylorMatching(PowerBasis(og, r))
+    n = matching.basis.size
+    faces = matching.all_faces() if n <= 10 else [
+        f for k in (1, 2, 3, n - 1, n) for f in combinations(range(n), k)
+    ]
+    for f in faces:
+        st_ = matching.face_stats(f)
+        assert (st_.top, st_.level, st_.pivot) == face_stats_reference(matching, f)
+

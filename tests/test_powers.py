@@ -2,6 +2,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
 
 from morsepow import (
     NEG_INF,
@@ -23,6 +24,7 @@ from morsepow import (
     weak_compositions,
 )
 from morsepow.ordering import OrderedGenerators
+from conftest import FIXED_CASES, LABEL_SHAPES, ideal, ordered, tree_ideals
 
 
 def test_counts():
@@ -39,15 +41,14 @@ def test_counts():
 
 def test_long_vectors_do_not_recurse():
     # one recursion level per slot would pass Python's recursion limit;
-    # PowerBasis only reads the generators, so single variables stand in
-    # for an ideal this wide
+    # PowerBasis only reads the generators and their complement facets,
+    # so single variables stand in for an ideal this wide
     q = 1500
     assert sum(1 for _ in weak_compositions(1, q)) == q
     variables = Variables([f"x_{v}" for v in range(q)])
     gens = [Monomial(((v, 1),)) for v in range(q)]
-    og = OrderedGenerators(
-        variables, gens, [frozenset()] * q, [0] * q, [frozenset()] * q, range(q)
-    )
+    facets = [frozenset(range(q)) - {v} for v in range(q)]
+    og = OrderedGenerators(variables, gens, facets, [0] * q, [frozenset()] * q, range(q))
     basis = PowerBasis(og, 1)
     assert basis.size == q
     assert basis.monomials[0] == gens[-1]  # colex-largest vector first
@@ -202,3 +203,27 @@ def test_power_basis_index_and_families(running):
     i = basis.index_of[(1, 0, 1)]
     assert basis.family_indices(i) == {i, basis.index_of[(1, 1, 0)]}
     assert basis.move_index(i, 2) == basis.index_of[(1, 1, 0)]
+
+
+def summed_exponents(og, r):
+    """Each power generator's dense exponents as the exponents of the
+    m_i summed a_i times each: the form ``PowerBasis`` replaced, kept as
+    its oracle."""
+    n = len(og.variables)
+    out = []
+    for a in power_vectors(og.q, r):
+        x = [0] * n
+        for g, e in zip(og.generators, a):
+            for v, k in g.exps:
+                x[v] += e * k
+        out.append(tuple(x))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tree_ideals(LABEL_SHAPES))
+@example(FIXED_CASES[2])
+@example((ordered(*ideal(["x*y"], "xyz")), 3))
+def test_exponents_from_complement_facets(case):
+    og, r = case
+    assert PowerBasis(og, r).exponents == summed_exponents(og, r)
