@@ -10,7 +10,6 @@ from .errors import (
     InvalidJointChoice,
     LengthMismatch,
     MorsepowError,
-    NonDivisible,
     NotInSupport,
     NotMinimalGenerating,
     NotProjectiveDimensionOne,
@@ -23,14 +22,11 @@ from .errors import (
 from .monomials import (
     ONE,
     Monomial,
-    Variable,
     Variables,
-    div_exact,
     divides,
     format_monomial,
     is_squarefree,
     lcm,
-    lcm_all,
     mul,
     parse_generators,
     parse_monomial,
@@ -56,7 +52,6 @@ from .ordering import (
 from .powers import (
     NEG_INF,
     PowerBasis,
-    colex_compare,
     colex_key,
     descent_family,
     last_disagreement,

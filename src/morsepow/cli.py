@@ -53,6 +53,8 @@ EXIT_NOT_PD_ONE = 3
 EXIT_TOO_LARGE = 4
 EXIT_VERIFICATION = 5
 
+SKIPPED = "SKIPPED (over cap)"
+
 SUBCOMMANDS = (
     "check",
     "order",
@@ -75,6 +77,10 @@ class IdealSpec:
     r: int
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_ideal(text_or_json: str) -> IdealSpec:
     """Parse an ideal description, either JSON or the plain text form
     "I = (x*y, y*z, z*u); r = 2" (optionally "vars = (x, y, z, u);")."""
@@ -88,13 +94,19 @@ def parse_ideal(text_or_json: str) -> IdealSpec:
         if not isinstance(gens, list) or not gens:
             raise ParseError('JSON spec needs a non-empty "gens" or "generators" list')
         r = data.get("r", 1)
-        if not isinstance(r, int) or r < 1:
+        if not _is_int(r) or r < 1:
             raise ParseError('"r" must be a positive integer')
         variables = data.get("variables", data.get("vars"))
-        if variables is not None and not isinstance(variables, list):
+        if variables is not None and not (
+            isinstance(variables, list) and all(isinstance(v, str) for v in variables)
+        ):
             raise ParseError('"variables" must be a list of names')
         order = data.get("declared_order")
-        if order is not None and sorted(order) != list(range(1, len(gens) + 1)):
+        if order is not None and not (
+            isinstance(order, list)
+            and all(map(_is_int, order))
+            and sorted(order) == list(range(1, len(gens) + 1))
+        ):
             raise ParseError('"declared_order" must be a permutation of 1..q')
         return IdealSpec(variables, [str(g) for g in gens], order, r)
 
@@ -204,10 +216,8 @@ def _resolution_section(complex) -> dict:
     return out
 
 
-def _matching_section(matching: TaylorMatching, cap: int, with_faces: bool):
-    """The matching report, and its one face classification for the
-    verifiers to reuse."""
-    classes = matching.classify(cap)
+def _matching_section(matching: TaylorMatching, classes, with_faces: bool) -> dict:
+    """The matching report of one face classification."""
     critical = classes.critical()
     by_dim: dict[int, int] = {}
     for f in critical:
@@ -222,15 +232,13 @@ def _matching_section(matching: TaylorMatching, cap: int, with_faces: bool):
     }
     if with_faces:
         out["records"] = matching.face_records(classes)
-    return out, classes
+    return out
 
 
 def _verify_section(morse, complex, classes, cap, chars, skip_large: bool):
     """Run the verification battery on the layers ``run`` built;
-    ``classes`` is the matching section's face classification, or None.
-    Returns (section dict, timings, all_passed)."""
-    for char in chars:
-        check_field_char(char)  # before any check runs, not after most
+    ``classes`` is the run's face classification, or None when it was
+    over the cap.  Returns (section dict, timings, all_passed)."""
     checks: dict[str, str] = {}
     timings: dict[str, float] = {}
 
@@ -241,33 +249,23 @@ def _verify_section(morse, complex, classes, cap, chars, skip_large: bool):
         except TooLarge:
             if not skip_large:
                 raise
-            checks[name] = "SKIPPED (over cap)"
+            checks[name] = SKIPPED
             return
         timings[name] = time.perf_counter() - t0
         checks[name] = "PASS" if ok else "FAIL"
 
     matching = morse.matching
-    size = morse.basis.size
-
-    def face_classes():
-        # the matching section's face classification, or one made here
-        nonlocal classes
+    for name, fn in {
+        "matching_is_matching": lambda: classes.is_matching(),
+        "matching_acyclic": lambda: classes.acyclic(),
+        "matching_homogeneous": lambda: matching.homogeneous(classes),
+        "critical_cells_match_closed_form":
+            lambda: classes.critical() == matching.critical_faces_closed_form(),
+    }.items():
         if classes is None:
-            if (1 << size) > cap:
-                raise TooLarge(
-                    f"brute-force verification needs 2**{size} faces, over the cap {cap}",
-                    cap=cap,
-                )
-            classes = matching.classify(cap)
-        return classes
-
-    record("matching_is_matching", lambda: face_classes().is_matching())
-    record("matching_acyclic", lambda: face_classes().acyclic())
-    record("matching_homogeneous", lambda: matching.homogeneous(face_classes()))
-    record(
-        "critical_cells_match_closed_form",
-        lambda: face_classes().critical() == matching.critical_faces_closed_form(),
-    )
+            checks[name] = SKIPPED
+        else:
+            record(name, fn)
     record(
         "cell_labels_match_face_lcm",
         lambda: all(
@@ -364,13 +362,21 @@ def run(subcommand, spec, *, cap=1 << 20, chars=(0, 2), joints_override=None,
         ]
 
     classes = None
-    if include("matching"):
+    if subcommand in ("matching", "verify", "all"):
+        if include("verify"):
+            for char in chars:
+                check_field_char(char)  # before the classification or any check runs
         t0 = time.perf_counter()
-        if subcommand == "all" and (1 << basis.size) > cap:
-            report["matching"] = {"status": "SKIPPED (over cap)"}
-        else:
-            report["matching"], classes = _matching_section(
-                morse.matching, cap, with_faces
+        try:
+            classes = morse.matching.classify(cap)
+        except TooLarge:
+            if subcommand != "all":
+                raise
+        if include("matching"):
+            report["matching"] = (
+                {"status": SKIPPED}
+                if classes is None
+                else _matching_section(morse.matching, classes, with_faces)
             )
         timings["matching"] = time.perf_counter() - t0
 

@@ -9,10 +9,6 @@ class ParseError(MorsepowError):
     """Input text or JSON could not be parsed."""
 
 
-class NonDivisible(MorsepowError):
-    """Exact monomial division requested for a non-divisor."""
-
-
 class NotSquarefree(MorsepowError):
     """A generator has an exponent larger than one."""
 

@@ -1,13 +1,13 @@
 """The homogeneous acyclic matching on the faces of the Taylor complex.
 
 Faces are strictly increasing tuples of vertex indices into a
-PowerBasis.  The matching is a pure local classifier: every nonempty
-face is critical, matched downward (its pivot vertex is removed) or
-matched upward (its pivot vertex is added), and no global enumeration is
-needed to classify one face.  The brute-force enumerators and verifiers
-in this module exist to check the matching's claimed properties at desk
-scale.  They hold a face as an int mask (bit v = vertex v) and each
-per-face fact in a list indexed by mask.
+PowerBasis, or int masks (bit v = vertex v).  The matching is a pure
+local classifier, ``TaylorMatching.pivot``: every nonempty face is
+critical, matched downward (its pivot vertex is removed) or matched
+upward (its pivot vertex is added), and no global enumeration is needed
+to classify one face.  The brute-force enumerators and verifiers in this
+module exist to check the matching's claimed properties at desk scale.
+They hold each per-face fact in a list indexed by mask.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, filterfalse
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import EmptyFace, TooLarge, VerificationFailed
@@ -86,6 +86,10 @@ def _arrow(face: Face, pivot: int) -> MatchArrow:
     return MatchArrow(DOWN if pivot in face else UP, _toggled(face, pivot), pivot)
 
 
+def _mask(face: Face) -> int:
+    return sum(1 << v for v in face)
+
+
 def _check_cap(n: int, cap: int) -> None:
     if 1 << n > cap:
         raise TooLarge(f"2**{n} faces exceed the cap of {cap}", cap=cap)
@@ -96,6 +100,7 @@ class TaylorMatching:
 
     def __init__(self, basis: PowerBasis):
         self.basis = basis
+        self._family_masks: dict[int, int] = {}
 
     def face_exponents(self, face: Face) -> tuple[int, ...]:
         """Dense exponent tuple of the face's lcm label: the exponentwise
@@ -122,35 +127,47 @@ class TaylorMatching:
             rows.append(list(map(max, rows[k], rows[k][1 << k :])))
         return rows
 
-    def _level(self, face: Face) -> tuple[int, float]:
-        """The top vertex of a nonempty face and its level.  The last
-        disagreement with the top vector never falls as the vertex index
-        grows, so the level is that of the face's last vertex outside the
-        top vector's descent family."""
-        if not face:
+    def _family_mask(self, top: int) -> int:
+        """The descent family of vector ``top`` as a vertex mask, made on
+        first use."""
+        fam = self._family_masks.get(top)
+        if fam is None:
+            fam = self._family_masks[top] = sum(1 << v for v in self.basis.family_indices(top))
+        return fam
+
+    def _level(self, mask: int) -> tuple[int, float]:
+        """The top vertex of a nonempty face mask, its lowest set bit,
+        and its level.  The last disagreement with the top vector never
+        falls as the vertex index grows, so the level is that of the
+        face's last vertex outside the top vector's descent family."""
+        if not mask:
             raise EmptyFace("the empty face is not classified")
-        top = face[0]
-        last = next(filterfalse(self.basis.family_indices(top).__contains__, reversed(face)), top)
-        if last == top:
+        top = (mask & -mask).bit_length() - 1
+        outside = mask & ~self._family_mask(top)
+        if not outside:
             return top, NEG_INF
+        last = outside.bit_length() - 1
         k = (last - top).bit_length() - 1
         row = self._step_maxima[k]
         return top, max(row[top], row[last - (1 << k)])
 
-    def face_stats(self, face: Face) -> FaceStats:
-        top, level = self._level(face)
+    def pivot(self, mask: int) -> int:
+        """Classify one nonempty face mask: UNMATCHED when the face sits
+        inside the descent family of its top vertex, otherwise the
+        vertex whose toggle gives its partner, the top vector's move at
+        the face's level.  The one classifier of the matching."""
+        top, level = self._level(mask)
         if level is NEG_INF:
-            return FaceStats(top, NEG_INF, None)
-        return FaceStats(top, level, self.basis.move_index(top, level))
+            return UNMATCHED
+        return self.basis.move_index(top, level)
+
+    def face_stats(self, face: Face) -> FaceStats:
+        top, level = self._level(_mask(face))
+        return FaceStats(top, level, None if level is NEG_INF else self.basis.move_index(top, level))
 
     def arrow(self, face: Face) -> MatchArrow:
-        """Classify one face: critical when it sits inside the descent
-        family of its top vertex, otherwise matched with the face that
-        toggles the pivot vertex."""
-        top, level = self._level(face)
-        if level is NEG_INF:
-            return _CRITICAL_ARROW
-        return _arrow(face, self.basis.move_index(top, level))
+        """The arrow of one face, from its ``pivot``."""
+        return _arrow(face, self.pivot(_mask(face)))
 
     # ------------------------------------------------------------------
     # brute-force enumeration and verification
@@ -164,36 +181,16 @@ class TaylorMatching:
         return out
 
     def classify(self, cap: int = DEFAULT_CAP) -> FaceClasses:
-        """Classify every nonempty face with ``arrow``, in one pass.
-
-        Each arrow must be the one its pivot determines: critical, or
-        down exactly when the pivot is in the face, to the face that
-        toggles the pivot.  The involution is checked too: the partner
-        of a matched face is matched back to it with the same pivot.
-        Else VerificationFailed is raised.
-        """
+        """The ``pivot`` of every nonempty face, in one pass over the
+        masks.  The pivots must be an involution: the partner of a
+        matched face is matched back to it with the same pivot.  Else
+        VerificationFailed is raised."""
         n = self.basis.size
         _check_cap(n, cap)
-        pivot = [UNMATCHED] * (1 << n)
-        pivot[0] = ABSENT
-        arrow, bit, vertices = self.arrow, [1 << v for v in range(n)].__getitem__, range(n)
-        for k in range(1, n + 1):
-            for face in combinations(vertices, k):
-                ar = arrow(face)
-                p = ar.pivot
-                if ar.kind == CRITICAL and p is None and ar.partner is None:
-                    continue
-                if (
-                    p not in vertices
-                    or ar.kind != (DOWN if p in face else UP)
-                    or ar.partner != _toggled(face, p)
-                ):
-                    raise VerificationFailed(f"the arrow of {face} does not toggle its pivot: {ar}")
-                pivot[sum(map(bit, face))] = p
-        classes = FaceClasses(n, pivot)
+        classes = FaceClasses(n, [ABSENT, *map(self.pivot, range(1, 1 << n))])
         f = classes.unmatched_back()
         if f is not None:
-            partner = f ^ 1 << pivot[f]
+            partner = f ^ 1 << classes.pivot[f]
             raise VerificationFailed(
                 f"{tuple(bit_positions(partner))} is not matched back to {tuple(bit_positions(f))}"
             )
@@ -261,10 +258,10 @@ class FaceClasses(NamedTuple):
     def arrows(self):
         """(face, arrow) for every face of the family, by size and then
         lexicographically."""
-        pivot, bit = self.pivot, [1 << v for v in range(self.n)].__getitem__
+        pivot = self.pivot
         for k in range(self.n + 1):
             for face in combinations(range(self.n), k):
-                p = pivot[sum(map(bit, face))]
+                p = pivot[_mask(face)]
                 if p != ABSENT:
                     yield face, _arrow(face, p)
 

@@ -12,13 +12,7 @@ import re
 from dataclasses import dataclass
 from itertools import compress
 
-from .errors import NonDivisible, ParseError
-
-
-@dataclass(frozen=True)
-class Variable:
-    index: int
-    name: str
+from .errors import ParseError
 
 
 class Variables:
@@ -38,10 +32,6 @@ class Variables:
 
     def __len__(self):
         return len(self.names)
-
-    def __iter__(self):
-        for i, n in enumerate(self.names):
-            yield Variable(i, n)
 
     def __contains__(self, name):
         return name in self._index
@@ -128,13 +118,6 @@ def lcm(m1: Monomial, m2: Monomial) -> Monomial:
     return Monomial.from_dict(d)
 
 
-def lcm_all(monomials) -> Monomial:
-    out = ONE
-    for m in monomials:
-        out = lcm(out, m)
-    return out
-
-
 def divides(m1: Monomial, m2: Monomial) -> bool:
     """True iff every exponent of m1 is at most the matching exponent of m2."""
     d2 = dict(m2.exps)
@@ -145,16 +128,6 @@ def mul(m1: Monomial, m2: Monomial) -> Monomial:
     d = dict(m1.exps)
     for i, e in m2.exps:
         d[i] = d.get(i, 0) + e
-    return Monomial.from_dict(d)
-
-
-def div_exact(m1: Monomial, m2: Monomial) -> Monomial:
-    """Exponentwise difference m1 / m2; m2 must divide m1."""
-    if not divides(m2, m1):
-        raise NonDivisible(f"{m2} does not divide {m1}")
-    d = dict(m1.exps)
-    for i, e in m2.exps:
-        d[i] -= e
     return Monomial.from_dict(d)
 
 

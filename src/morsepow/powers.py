@@ -41,14 +41,6 @@ def colex_key(a):
     return tuple(reversed(a))
 
 
-def colex_compare(a, b) -> int:
-    """-1, 0 or 1 as a is colex-smaller, equal, or larger than b."""
-    if len(a) != len(b):
-        raise LengthMismatch(f"vectors {a} and {b} have different lengths")
-    ka, kb = colex_key(a), colex_key(b)
-    return (ka > kb) - (ka < kb)
-
-
 def last_disagreement(a, b):
     """The largest index where a and b differ; NEG_INF when a == b."""
     if len(a) != len(b):

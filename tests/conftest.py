@@ -27,6 +27,15 @@ def src_env() -> dict:
     return env
 
 
+def exact_quotient(m1, m2) -> Monomial:
+    """m1 / m2 exponentwise; ``Monomial.from_dict`` rejects the negative
+    exponent left when m2 does not divide m1."""
+    d = dict(m1.exps)
+    for i, e in m2.exps:
+        d[i] = d.get(i, 0) - e
+    return Monomial.from_dict(d)
+
+
 def ideal(texts, var_names=None):
     variables = Variables(var_names) if var_names else None
     return parse_generators(texts, variables)

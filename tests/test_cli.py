@@ -66,6 +66,24 @@ def test_parse_ideal_rejects_garbage():
         parse_ideal("I = (x*y); r = 0")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("declared_order", 5),
+        ("declared_order", [1.0, 2.0]),
+        ("variables", ["x", 1]),
+        ("r", True),
+    ],
+)
+def test_json_spec_field_of_wrong_type_is_parse_error(capsys, tmp_path, field, value):
+    p = tmp_path / "typed.json"
+    p.write_text(json.dumps({"gens": ["x*y", "y*z"], field: value}), encoding="utf-8")
+    code, out = run_cli(capsys, "betti", "-i", str(p))
+    assert code == EXIT_PARSE
+    err = json.loads(out)["error"]
+    assert err["type"] == "ParseError" and f'"{field}"' in err["message"]
+
+
 def test_all_on_running_example(capsys, running_json):
     code, out = run_cli(capsys, "all", "-i", running_json)
     assert code == EXIT_OK
@@ -318,18 +336,19 @@ def test_console_script_runs():
 
 
 def test_broken_involution_exits_verification(capsys, running_json, monkeypatch):
-    from morsepow import CRITICAL, DOWN, MatchArrow, TaylorMatching
+    from morsepow import TaylorMatching
+    from morsepow.matching import UNMATCHED
 
-    arrow = TaylorMatching.arrow
+    pivot = TaylorMatching.pivot
 
-    def broken(self, face):
+    def broken(self, mask):
         # faces of five or more vertices lie beyond every r = 2 build
-        ar = arrow(self, face)
-        if len(face) >= 5 and ar.kind == DOWN:
-            return MatchArrow(CRITICAL, None, None)
-        return ar
+        p = pivot(self, mask)
+        if mask.bit_count() >= 5 and p >= 0 and mask >> p & 1:
+            return UNMATCHED
+        return p
 
-    monkeypatch.setattr(TaylorMatching, "arrow", broken)
+    monkeypatch.setattr(TaylorMatching, "pivot", broken)
     code, out = run_cli(capsys, "verify", "-i", running_json)
     assert code == EXIT_VERIFICATION
     assert json.loads(out)["error"]["type"] == "VerificationFailed"

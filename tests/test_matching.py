@@ -1,4 +1,5 @@
-from itertools import combinations
+from itertools import combinations, filterfalse
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,11 +12,9 @@ from morsepow import (
     UP,
     EmptyFace,
     FaceClasses,
-    MatchArrow,
     PowerBasis,
     TaylorMatching,
     TooLarge,
-    VerificationFailed,
     divides,
     format_monomial,
     is_matching,
@@ -24,6 +23,7 @@ from morsepow import (
     verify_matching_homogeneous,
 )
 from morsepow.matching import ABSENT, UNMATCHED, face_without
+from morsepow.monomials import bit_positions
 from conftest import FIXED_CASES, LABEL_SHAPES, tree_ideals
 
 
@@ -265,13 +265,15 @@ def test_involution_check_survives_optimize_flag():
     import sys
 
     script = """
-from morsepow import CRITICAL, DOWN, MatchArrow, TaylorMatching, VerificationFailed
+from morsepow import TaylorMatching, VerificationFailed
 from morsepow import PowerBasis, order_generators, parse_generators
-arrow = TaylorMatching.arrow
-def broken(self, face):
-    ar = arrow(self, face)
-    return MatchArrow(CRITICAL, None, None) if ar.kind == DOWN else ar
-TaylorMatching.arrow = broken
+from morsepow.matching import UNMATCHED
+pivot = TaylorMatching.pivot
+def broken(self, mask):
+    # every face matched down is made critical
+    p = pivot(self, mask)
+    return UNMATCHED if p >= 0 and mask >> p & 1 else p
+TaylorMatching.pivot = broken
 gens, variables = parse_generators(["x*y", "y*z", "z*u"])
 try:
     TaylorMatching(PowerBasis(order_generators(gens, variables), 2)).enumerate_arrows()
@@ -390,21 +392,6 @@ def test_homogeneity_negative_control(m2):
     assert m2.homogeneous(classes)
 
 
-def test_wrong_partner_is_rejected(m2, monkeypatch):
-    # an arrow whose partner is not the face toggling its pivot
-    arrow = TaylorMatching.arrow
-
-    def shifted(self, face):
-        ar = arrow(self, face)
-        if ar.kind == UP and len(face) == 3:
-            return MatchArrow(UP, ar.partner[::-1], ar.pivot)
-        return ar
-
-    monkeypatch.setattr(TaylorMatching, "arrow", shifted)
-    with pytest.raises(VerificationFailed, match="does not toggle its pivot"):
-        TaylorMatching(m2.basis).classify()
-
-
 def test_classify_counts_and_records_order(m2):
     classes = m2.classify()
     assert classes.n == 6 and len(classes.pivot) == 64
@@ -446,3 +433,31 @@ def test_face_stats_matches_its_definition(case):
         st_ = matching.face_stats(f)
         assert (st_.top, st_.level, st_.pivot) == face_stats_reference(matching, f)
 
+
+def reference_pivot(matching, face) -> int:
+    """The tuple classifier that ``TaylorMatching.pivot`` replaced, kept
+    as its oracle: the level is read at the face's last vertex outside
+    the top vector's descent family, found by membership tests on the
+    family's indices."""
+    top = face[0]
+    last = next(filterfalse(matching.basis.family_indices(top).__contains__, reversed(face)), top)
+    if last == top:
+        return UNMATCHED
+    k = (last - top).bit_length() - 1
+    row = matching._step_maxima[k]
+    return matching.basis.move_index(top, max(row[top], row[last - (1 << k)]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(tree_ideals([(q, r) for q, r in LABEL_SHAPES if comb(q + r - 1, r) <= 12]))
+@example(FIXED_CASES[0])
+@example(FIXED_CASES[1])
+@example(FIXED_CASES[2])
+@example(FIXED_CASES[3])
+def test_mask_pivot_matches_the_tuple_classifier(case):
+    og, r = case
+    matching = TaylorMatching(PowerBasis(og, r))
+    pivot = matching.classify().pivot
+    assert pivot[0] == ABSENT
+    for f in range(1, len(pivot)):
+        assert pivot[f] == reference_pivot(matching, tuple(bit_positions(f)))

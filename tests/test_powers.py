@@ -12,7 +12,7 @@ from morsepow import (
     NotInSupport,
     PowerBasis,
     Variables,
-    colex_compare,
+    colex_key,
     descent_family,
     format_monomial,
     last_disagreement,
@@ -65,14 +65,6 @@ def test_descending_colex_order():
     ]
 
 
-def test_colex_compare():
-    assert colex_compare((1, 1, 0), (1, 0, 1)) == -1  # compare at the last index
-    assert colex_compare((1, 0, 1), (1, 0, 1)) == 0
-    assert colex_compare((0, 1, 1), (1, 0, 1)) == 1
-    with pytest.raises(LengthMismatch):
-        colex_compare((1, 0), (1, 0, 1))
-
-
 def test_colex_max_of_example_vertices():
     vs = [(1, 0, 1), (2, 0, 0), (0, 2, 0), (1, 1, 0)]
     assert max(vs, key=lambda a: tuple(reversed(a))) == (1, 0, 1)
@@ -82,6 +74,8 @@ def test_last_disagreement():
     assert last_disagreement((1, 0, 1), (2, 0, 0)) == 2
     assert last_disagreement((1, 0, 1), (1, 0, 1)) is NEG_INF
     assert last_disagreement((1, 0, 1), (1, 1, 0)) == 2
+    with pytest.raises(LengthMismatch):
+        last_disagreement((1, 0), (1, 0, 1))
     # equal weights can never disagree only at the first slot
     for a in weak_compositions(3, 3):
         for b in weak_compositions(3, 3):
@@ -170,12 +164,12 @@ def test_moves_descend_and_disagree(running, path4, star3, r):
             slots = sorted(support(a) - {0})
             for j in slots:
                 pj = move_to_joint(a, j, joints)
-                assert colex_compare(pj, a) == -1
+                assert colex_key(pj) < colex_key(a)
                 assert last_disagreement(a, pj) == j
                 for k in slots:
                     if j < k:
                         pk = move_to_joint(a, k, joints)
-                        assert colex_compare(pk, pj) == -1
+                        assert colex_key(pk) < colex_key(pj)
                         assert last_disagreement(pj, pk) == k
 
 

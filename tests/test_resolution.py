@@ -22,7 +22,7 @@ from morsepow import (
     verify_strands,
     weak_compositions,
 )
-from conftest import FIXED_CASES, LABEL_SHAPES, path_complement_ideal, tree_ideals
+from conftest import FIXED_CASES, LABEL_SHAPES, exact_quotient, path_complement_ideal, tree_ideals
 
 
 @pytest.fixture(scope="module")
@@ -350,14 +350,12 @@ def test_every_label_comes_from_free_vertex_formula(res2, running):
 @example(FIXED_CASES[3])
 def test_entry_shifts_are_label_ratios(case):
     # the closed-form per-slot shifts against the ratios of the labels
-    from morsepow import div_exact
-
     og, r = case
     complex = build_resolution(None, r, og=og)
     for i in range(1, complex.length + 1):
         assert complex.maps[i]
         for (row, col), (_, shift) in complex.maps[i].items():
-            assert shift == div_exact(complex.labels[i][col], complex.labels[i - 1][row])
+            assert shift == exact_quotient(complex.labels[i][col], complex.labels[i - 1][row])
 
 
 def test_build_walks_no_gradient_flow(running, monkeypatch):
