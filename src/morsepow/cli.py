@@ -507,6 +507,8 @@ def _load_spec(args) -> IdealSpec | None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.cap < 1:
+            raise ParseError("cap must be a positive integer")
         spec = _load_spec(args)
         if spec is None and args.subcommand != "pd":
             raise ParseError("an ideal is required: pass -i FILE or --gens")

@@ -7,15 +7,18 @@ critical, matched downward (its pivot vertex is removed) or matched
 upward (its pivot vertex is added), and no global enumeration is needed
 to classify one face.  The brute-force enumerators and verifiers in this
 module exist to check the matching's claimed properties at desk scale.
-They hold each per-face fact in a list indexed by mask.
+They hold the pivots in a list indexed by mask, and check them on int
+bitsets over the masks, one whole-int operation per vertex.
 """
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import and_, or_
 from typing import NamedTuple
 
 from .errors import EmptyFace, TooLarge, VerificationFailed
@@ -135,35 +138,59 @@ class TaylorMatching:
             fam = self._family_masks[top] = sum(1 << v for v in self.basis.family_indices(top))
         return fam
 
-    def _level(self, mask: int) -> tuple[int, float]:
+    def _top_last(self, mask: int) -> tuple[int, int]:
         """The top vertex of a nonempty face mask, its lowest set bit,
-        and its level.  The last disagreement with the top vector never
-        falls as the vertex index grows, so the level is that of the
-        face's last vertex outside the top vector's descent family."""
+        and the face's last vertex outside the top vector's descent
+        family, or the top itself when there is none."""
         if not mask:
             raise EmptyFace("the empty face is not classified")
         top = (mask & -mask).bit_length() - 1
         outside = mask & ~self._family_mask(top)
-        if not outside:
-            return top, NEG_INF
-        last = outside.bit_length() - 1
+        return top, (outside.bit_length() - 1 if outside else top)
+
+    def _level_at(self, top: int, last: int) -> int:
+        """The level of a face with top vertex ``top`` whose last vertex
+        outside the family is ``last``: the last disagreement of the two
+        vectors, since it never falls as the vertex index grows."""
         k = (last - top).bit_length() - 1
         row = self._step_maxima[k]
-        return top, max(row[top], row[last - (1 << k)])
+        return max(row[top], row[last - (1 << k)])
+
+    def _move_at(self, top: int, last: int) -> int:
+        """The pivot of every face with top vertex ``top`` whose last
+        vertex outside the family is ``last``: the top vector's move at
+        the level."""
+        return self.basis.move_index(top, self._level_at(top, last))
 
     def pivot(self, mask: int) -> int:
         """Classify one nonempty face mask: UNMATCHED when the face sits
         inside the descent family of its top vertex, otherwise the
         vertex whose toggle gives its partner, the top vector's move at
-        the face's level.  The one classifier of the matching."""
-        top, level = self._level(mask)
-        if level is NEG_INF:
-            return UNMATCHED
-        return self.basis.move_index(top, level)
+        the face's level."""
+        top, last = self._top_last(mask)
+        return UNMATCHED if last == top else self._move_at(top, last)
 
     def face_stats(self, face: Face) -> FaceStats:
-        top, level = self._level(_mask(face))
-        return FaceStats(top, level, None if level is NEG_INF else self.basis.move_index(top, level))
+        top, last = self._top_last(_mask(face))
+        if last == top:
+            return FaceStats(top, NEG_INF, None)
+        level = self._level_at(top, last)
+        return FaceStats(top, level, self.basis.move_index(top, level))
+
+    def _top_pivots(self, top: int) -> list[int]:
+        """The pivots of the faces whose top vertex is ``top``, indexed
+        by the face's vertices above the top as a mask shifted down by
+        top + 1.  Each vertex j above the top doubles the list: inside
+        the family it leaves the pivot as it was, and outside it the
+        faces holding it all take ``_move_at(top, j)``."""
+        family = self._family_mask(top)
+        out = [UNMATCHED]
+        for j in range(top + 1, self.basis.size):
+            if family >> j & 1:
+                out += out
+            else:
+                out += [self._move_at(top, j)] * len(out)
+        return out
 
     def arrow(self, face: Face) -> MatchArrow:
         """The arrow of one face, from its ``pivot``."""
@@ -181,13 +208,17 @@ class TaylorMatching:
         return out
 
     def classify(self, cap: int = DEFAULT_CAP) -> FaceClasses:
-        """The ``pivot`` of every nonempty face, in one pass over the
-        masks.  The pivots must be an involution: the partner of a
-        matched face is matched back to it with the same pivot.  Else
-        VerificationFailed is raised."""
+        """The ``pivot`` of every nonempty face, filled one top vertex
+        at a time: the faces with top vertex t are the masks t + 1 modulo
+        2**(t + 1), one slice of the list.  The pivots must be an
+        involution: the partner of a matched face is matched back to it
+        with the same pivot.  Else VerificationFailed is raised."""
         n = self.basis.size
         _check_cap(n, cap)
-        classes = FaceClasses(n, [ABSENT, *map(self.pivot, range(1, 1 << n))])
+        pivot = [ABSENT] * (1 << n)
+        for top in range(n):
+            pivot[1 << top :: 1 << (top + 1)] = self._top_pivots(top)
+        classes = FaceClasses(n, pivot)
         f = classes.unmatched_back()
         if f is not None:
             partner = f ^ 1 << classes.pivot[f]
@@ -210,16 +241,21 @@ class TaylorMatching:
 
     def homogeneous(self, classes: FaceClasses) -> bool:
         """Matched faces carry the same lcm label.  Labels are the
-        unary codes of ``unary_codes``, one per face mask, each the
-        ``|`` of the label of the face without its highest vertex and the
-        code of that vertex."""
+        unary codes of ``unary_codes``, where lcm is ``|``, so a pair
+        toggling v has one label exactly when v's code lies inside the
+        label of the smaller face: for each bit of the code, the face
+        meets a vertex whose code has that bit."""
         _, (codes,) = unary_codes([self.basis.monomials])
-        labels = [0]
-        for c in codes:
-            labels += [x | c for x in labels]
-        return all(
-            labels[f] == labels[f ^ 1 << p] for f, p in enumerate(classes.pivot) if p >= 0
-        )
+        bits = classes.bits
+        meeting = {  # the faces meeting the vertices whose code has bit b
+            b: reduce(or_, (has_u for has_u, c in zip(bits.holding, codes) if c >> b & 1))
+            for b in bit_positions(reduce(or_, codes, 0))
+        }
+        for v, code in enumerate(codes):
+            cover = reduce(and_, map(meeting.__getitem__, bit_positions(code)), -1)
+            if (bits.up[v] | bits.down[v] >> (1 << v)) & ~cover:
+                return False
+        return True
 
     def critical_faces_closed_form(self) -> set[Face]:
         """Faces contained in the descent family of their largest vertex:
@@ -246,14 +282,71 @@ class TaylorMatching:
         ]
 
 
-class FaceClasses(NamedTuple):
+def _faces_at(lanes: list[bytes], code: int) -> int:
+    """The bitset of the masks whose pivot byte is ``code``.  Lane k of
+    the pivot bytes holds the masks k, k + 8, k + 16, ...; translated to
+    1 at ``code`` and 0 elsewhere and read as a little-endian int, it has
+    bit 8m set for mask 8m + k, so a shift by k puts every bit in place."""
+    table = bytearray(256)
+    table[code] = 1
+    out = 0
+    for k, lane in enumerate(lanes):
+        out |= int.from_bytes(lane.translate(table), "little") << k
+    return out
+
+
+def _holding(v: int, size: int) -> int:
+    """The masks below ``size``, a power of two, that hold vertex v: one
+    period of 2**(v + 1) masks, doubled until it spans them all."""
+    step = 1 << v
+    out = ((1 << step) - 1) << step
+    width = step << 1
+    while width < size:
+        out |= out << width
+        width <<= 1
+    return out
+
+
+class FaceBits(NamedTuple):
+    """The facts of a ``FaceClasses`` as int bitsets over the face
+    masks, bit f for face f: the faces of the family, and per vertex v
+    the masks holding v, the faces matched up at v and the faces matched
+    down at v."""
+
+    present: int
+    holding: list[int]
+    up: list[int]
+    down: list[int]
+
+
+@dataclass(frozen=True)
+class FaceClasses:
     """A family of faces over the vertices 0 .. n-1 and a matching on it:
     ``pivot[mask]`` is ABSENT for a face outside the family, UNMATCHED
     for a critical face, and otherwise the vertex that toggles to the
-    face's partner (matched down when the vertex is in the face)."""
+    face's partner (matched down when the vertex is in the face).  The
+    checks read ``bits``, made on first use."""
 
     n: int
     pivot: list[int]
+
+    @cached_property
+    def bits(self) -> FaceBits:
+        """One pass packs the pivots into signed bytes (ABSENT is 254,
+        UNMATCHED 255), dealt into eight lanes; then one ``translate``
+        per lane picks out the faces of each vertex."""
+        size = len(self.pivot)
+        codes = struct.pack(f"{size}b", *self.pivot)
+        lanes = [codes[k::8] for k in range(8)]
+        present = (1 << size) - 1 ^ _faces_at(lanes, ABSENT & 255)
+        holding, up, down = [], [], []
+        for v in range(self.n):
+            at_v = _faces_at(lanes, v)
+            has_v = _holding(v, size)
+            holding.append(has_v)
+            up.append(at_v & ~has_v)
+            down.append(at_v & has_v)
+        return FaceBits(present, holding, up, down)
 
     def arrows(self):
         """(face, arrow) for every face of the family, by size and then
@@ -271,58 +364,58 @@ class FaceClasses(NamedTuple):
         return [(face, ar.partner) for face, ar in self.arrows() if ar.kind == DOWN]
 
     def critical(self) -> set[Face]:
-        return {tuple(bit_positions(f)) for f, p in enumerate(self.pivot) if p == UNMATCHED}
+        """The faces matched to none."""
+        pivot, out = self.pivot, set()
+        f = -1
+        try:
+            while True:
+                f = pivot.index(UNMATCHED, f + 1)
+                out.add(tuple(bit_positions(f)))
+        except ValueError:
+            return out
 
     def unmatched_back(self) -> int | None:
         """The first matched face whose partner is not matched back to it
-        with the same pivot, or None."""
-        pivot = self.pivot
-        return next((f for f, p in enumerate(pivot) if p >= 0 and pivot[f ^ 1 << p] != p), None)
+        with the same pivot, or None: at each vertex v, the faces matched
+        up must be those matched down, shifted by 2**v."""
+        bits, bad = self.bits, 0
+        for v, (up, down) in enumerate(zip(bits.up, bits.down)):
+            bad |= up & ~(down >> (1 << v)) | down & ~(up << (1 << v))
+        return (bad & -bad).bit_length() - 1 if bad else None
 
     def is_matching(self) -> bool:
         """No face has two partners: the pivots are an involution."""
         return self.unmatched_back() is None
 
     def acyclic(self) -> bool:
-        """Kahn's algorithm on the Hasse diagram of the family with each
-        matched edge reversed: down edges go from each face to its
-        facets in the family, and a matched pair gives the upward edge
-        instead.  Successors come from the mask and the pivot; only the
-        in-degrees are stored.  Needs ``is_matching``."""
-        n, pivot = self.n, self.pivot
-        indeg = bytearray(n - f.bit_count() for f in range(len(pivot)))
-        absent = [f for f, p in enumerate(pivot) if p == ABSENT]
-        for g in absent:
-            for v in bit_positions(g):
-                indeg[g ^ 1 << v] -= 1  # no edge from an absent coface
-        for g in absent:
-            indeg[g] = n + 2  # more than can reach it: it never enters the queue
-        for f, p in enumerate(pivot):
-            if p >= 0:
-                # the down edge from the partner, or the one to it, reverses
-                indeg[f] += 1 if f >> p & 1 else -1
-        queue = [f for f, d in enumerate(indeg) if not d]
-        push = queue.append
-        done = 0
-        while queue:
-            f = queue.pop()
-            done += 1
-            p = pivot[f]
-            toggle = 1 << p if p >= 0 else 0
-            down = f & ~toggle  # matched down: its edge to the partner reverses
-            while down:
-                low = down & -down
-                down ^= low
-                g = f ^ low
-                indeg[g] -= 1
-                if not indeg[g]:
-                    push(g)
-            if toggle & ~f:  # matched up: the reversed edge to the partner
-                g = f | toggle
-                indeg[g] -= 1
-                if not indeg[g]:
-                    push(g)
-        return done == len(pivot) - len(absent)
+        """Kahn's algorithm in whole rounds on the Hasse diagram of the
+        family with each matched edge reversed: down edges go from each
+        face to its facets in the family, and a matched pair gives the
+        upward edge instead.  A round removes every source of the faces
+        left, all at once.  A face f without vertex v keeps an edge in
+        when f + 2**v is left and not matched down at v, and a face f
+        with v when f - 2**v is left and matched up at v: one shift of
+        the faces left each way.
+        The family is acyclic exactly when nothing is left; a round with
+        no source has found a cycle.  A round costs a few int operations
+        per vertex over 2**n bits, and there are as many rounds as the
+        longest path has faces: 40 for each 15-vertex basis of q = 3,
+        r = 4, and 55 for the 20 vertices of the q = 4, r = 3 path
+        complement.  Needs ``is_matching``."""
+        bits = self.bits
+        edges = [
+            (1 << v, has_v ^ down, up)
+            for v, (has_v, up, down) in enumerate(zip(bits.holding, bits.up, bits.down))
+        ]
+        left = bits.present
+        while left:
+            entered = 0
+            for shift, falls, rises in edges:
+                entered |= (left & falls) >> shift | (left & rises) << shift
+            if not left & ~entered:
+                return False
+            left &= entered
+        return True
 
 
 def is_matching(arrows) -> bool:

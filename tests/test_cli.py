@@ -171,6 +171,14 @@ def test_too_large_exit_code(capsys, running_json):
     assert err["type"] == "TooLarge" and err["cap"] == 8
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_one_is_parse_error(capsys, cap):
+    code, out = run_cli(capsys, "all", "--gens", "x*y,y*z", "-r", "2", "--cap", cap)
+    assert code == EXIT_PARSE
+    err = json.loads(out)["error"]
+    assert err == {"type": "ParseError", "message": "cap must be a positive integer"}
+
+
 def test_all_skips_over_cap_sections(capsys, running_json):
     code, out = run_cli(capsys, "all", "-i", running_json, "--cap", "8")
     assert code == EXIT_OK
@@ -339,16 +347,18 @@ def test_broken_involution_exits_verification(capsys, running_json, monkeypatch)
     from morsepow import TaylorMatching
     from morsepow.matching import UNMATCHED
 
-    pivot = TaylorMatching.pivot
+    top_pivots = TaylorMatching._top_pivots
 
-    def broken(self, mask):
+    def broken(self, top):
         # faces of five or more vertices lie beyond every r = 2 build
-        p = pivot(self, mask)
-        if mask.bit_count() >= 5 and p >= 0 and mask >> p & 1:
-            return UNMATCHED
-        return p
+        out = top_pivots(self, top)
+        for above, p in enumerate(out):
+            mask = (above << 1 | 1) << top
+            if mask.bit_count() >= 5 and p >= 0 and mask >> p & 1:
+                out[above] = UNMATCHED
+        return out
 
-    monkeypatch.setattr(TaylorMatching, "pivot", broken)
+    monkeypatch.setattr(TaylorMatching, "_top_pivots", broken)
     code, out = run_cli(capsys, "verify", "-i", running_json)
     assert code == EXIT_VERIFICATION
     assert json.loads(out)["error"]["type"] == "VerificationFailed"
@@ -479,6 +489,22 @@ def test_all_checks_matching_at_two_to_the_seventeen(capsys):
     report = json.loads(out)
     assert report["matching"]["faces"] == (1 << 17) - 1
     checks = report["verify"]["checks"]
+    for name in (
+        "matching_is_matching",
+        "matching_acyclic",
+        "matching_homogeneous",
+        "critical_cells_match_closed_form",
+    ):
+        assert checks[name] == "PASS"
+
+
+def test_verify_checks_matching_at_the_default_cap(capsys):
+    # the q = 4, r = 3 path complement has 20 power generators: 2**20
+    # faces, exactly the default cap
+    gens = "c*d*e,a*d*e,a*b*e,a*b*c"
+    code, out = run_cli(capsys, "verify", "--gens", gens, "--vars", "a,b,c,d,e", "-r", "3")
+    assert code == EXIT_OK
+    checks = json.loads(out)["verify"]["checks"]
     for name in (
         "matching_is_matching",
         "matching_acyclic",

@@ -1,3 +1,5 @@
+import random
+from functools import cache
 from itertools import combinations, filterfalse
 from math import comb
 
@@ -23,7 +25,7 @@ from morsepow import (
     verify_matching_homogeneous,
 )
 from morsepow.matching import ABSENT, UNMATCHED, face_without
-from morsepow.monomials import bit_positions
+from morsepow.monomials import bit_positions, unary_codes
 from conftest import FIXED_CASES, LABEL_SHAPES, tree_ideals
 
 
@@ -268,23 +270,30 @@ def test_involution_check_survives_optimize_flag():
 from morsepow import TaylorMatching, VerificationFailed
 from morsepow import PowerBasis, order_generators, parse_generators
 from morsepow.matching import UNMATCHED
-pivot = TaylorMatching.pivot
-def broken(self, mask):
+top_pivots = TaylorMatching._top_pivots
+def broken(self, top):
     # every face matched down is made critical
-    p = pivot(self, mask)
-    return UNMATCHED if p >= 0 and mask >> p & 1 else p
-TaylorMatching.pivot = broken
+    out = top_pivots(self, top)
+    for above, p in enumerate(out):
+        if p >= 0 and (above << 1 | 1) << top >> p & 1:
+            out[above] = UNMATCHED
+    return out
+TaylorMatching._top_pivots = broken
 gens, variables = parse_generators(["x*y", "y*z", "z*u"])
 try:
     TaylorMatching(PowerBasis(order_generators(gens, variables), 2)).enumerate_arrows()
-except VerificationFailed:
+except VerificationFailed as exc:
+    print(exc)
     raise SystemExit(0)
 raise SystemExit(1)
 """
     from conftest import src_env
 
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, env=src_env())
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=src_env()
+    )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(0, 1, 2) is not matched back to (0, 2)"
 
 
 def reference_acyclic(faces, arrows) -> bool:
@@ -460,4 +469,135 @@ def test_mask_pivot_matches_the_tuple_classifier(case):
     pivot = matching.classify().pivot
     assert pivot[0] == ABSENT
     for f in range(1, len(pivot)):
-        assert pivot[f] == reference_pivot(matching, tuple(bit_positions(f)))
+        expected = reference_pivot(matching, tuple(bit_positions(f)))
+        assert pivot[f] == expected
+        assert matching.pivot(f) == expected
+
+
+def reference_unmatched_back(classes):
+    """The per-face scan that ``FaceClasses.unmatched_back`` replaced,
+    kept as its oracle: the lowest matched mask whose partner does not
+    carry the same pivot."""
+    pivot = classes.pivot
+    return next((f for f, p in enumerate(pivot) if p >= 0 and pivot[f ^ 1 << p] != p), None)
+
+
+def reference_homogeneous(matching, classes) -> bool:
+    """The label-doubling check that ``TaylorMatching.homogeneous``
+    replaced, kept as its oracle: the unary-coded lcm label of every
+    mask, each the ``|`` of a smaller mask's label and one vertex's
+    code, compared across every matched pair."""
+    _, (codes,) = unary_codes([matching.basis.monomials])
+    labels = [0]
+    for c in codes:
+        labels += [x | c for x in labels]
+    return all(labels[f] == labels[f ^ 1 << p] for f, p in enumerate(classes.pivot) if p >= 0)
+
+
+def rematched(pivot, f, v):
+    """The pivots with faces f and f ^ 2**v matched to each other and
+    their old partners made critical."""
+    out = list(pivot)
+    for g in (f, f ^ 1 << v):
+        if out[g] >= 0:
+            out[g ^ 1 << out[g]] = UNMATCHED
+    out[f] = out[f ^ 1 << v] = v
+    return out
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(tree_ideals([(q, r) for q, r in LABEL_SHAPES if comb(q + r - 1, r) <= 12]))
+@example(FIXED_CASES[1])
+@example(FIXED_CASES[2])
+def test_bitset_checks_match_the_per_face_checks(case):
+    og, r = case
+    matching = TaylorMatching(PowerBasis(og, r))
+    classes = matching.classify()
+    n, pivot = classes.n, classes.pivot
+    assert classes.unmatched_back() is reference_unmatched_back(classes) is None
+    assert matching.homogeneous(classes) is reference_homogeneous(matching, classes) is True
+    # a vertex and an edge holding it never carry the same label
+    edge = 0b11 << n - 2
+    mixed = FaceClasses(n, rematched(pivot, edge, n - 2))
+    # and only the edge matched down, its vertex left as it was
+    half = list(pivot)
+    half[edge] = n - 2
+    corrupted = [mixed, FaceClasses(n, half)]
+    for bad in corrupted:
+        assert not reference_homogeneous(matching, bad)
+    matched = [f for f, p in enumerate(pivot) if p >= 0]
+    for f in matched[:: max(1, len(matched) // 5)]:
+        p = pivot[f]
+        dropped = list(pivot)
+        dropped[f ^ 1 << p] = UNMATCHED  # the partner left critical
+        wrong = list(pivot)
+        wrong[f] = (p + 1) % n  # a pivot no partner answers
+        corrupted += [FaceClasses(n, dropped), FaceClasses(n, wrong)]
+        assert reference_unmatched_back(corrupted[-1]) is not None
+    for bad in corrupted:
+        assert bad.unmatched_back() == reference_unmatched_back(bad)
+        assert matching.homogeneous(bad) == reference_homogeneous(matching, bad)
+
+
+def reference_depth(faces, arrows) -> int:
+    """The number of faces on a longest path of the digraph of
+    ``reference_acyclic``, for an acyclic matching."""
+    face_set, matched = set(faces), set(arrows)
+    into: dict = {f: [] for f in face_set}
+    for f in face_set:
+        for v in f:
+            g = face_without(f, v)
+            if g in face_set:
+                if (f, g) in matched:
+                    into[f].append(g)
+                else:
+                    into[g].append(f)
+
+    @cache
+    def longest(f):
+        return 1 + max(map(longest, into[f]), default=0)
+
+    return max(map(longest, face_set))
+
+
+def greedy_acyclic_pivots(n: int, seed: int) -> list[int]:
+    """A maximal acyclic matching on the nonempty faces over n vertices:
+    the (face, facet) pairs in a seeded random order, each kept when
+    both faces are still critical and the matching stays acyclic."""
+    pivot = [ABSENT] + [UNMATCHED] * ((1 << n) - 1)
+    pairs = [(f, v) for f in range(1, 1 << n) for v in bit_positions(f) if f != 1 << v]
+    random.Random(seed).shuffle(pairs)
+    for f, v in pairs:
+        if pivot[f] == pivot[f ^ 1 << v] == UNMATCHED:
+            pivot[f] = pivot[f ^ 1 << v] = v
+            if not FaceClasses(n, pivot).acyclic():
+                pivot[f] = pivot[f ^ 1 << v] = UNMATCHED
+    return pivot
+
+
+def tuple_family(n: int, pivot):
+    """The faces and the (face, facet) pairs of a pivot list."""
+    classes = FaceClasses(n, pivot)
+    return [f for f, _ in classes.arrows()], classes.pairs()
+
+
+def test_rounds_on_a_deep_matching_and_its_cyclic_mutant():
+    # the deepest of three random maximal acyclic matchings on 8 vertices
+    # has a path of 85 faces: FaceClasses.acyclic runs 85 rounds, where
+    # the Taylor matching of a 15-vertex basis needs 40
+    n = 8
+    pivot = max((greedy_acyclic_pivots(n, seed) for seed in range(3)),
+                key=lambda p: reference_depth(*tuple_family(n, p)))
+    faces, arrows = tuple_family(n, pivot)
+    assert reference_depth(faces, arrows) >= 4 * n
+    assert reference_acyclic(faces, arrows)
+    assert verify_matching_acyclic(faces, arrows)
+    # the matching is maximal, so matching any two critical faces more
+    # closes a cycle
+    f, v = next(
+        (f, v) for f in range(1, 1 << n) for v in bit_positions(f)
+        if f != 1 << v and pivot[f] == pivot[f ^ 1 << v] == UNMATCHED
+    )
+    mutant = arrows + [(tuple(bit_positions(f)), tuple(bit_positions(f ^ 1 << v)))]
+    assert not reference_acyclic(faces, mutant)
+    assert not verify_matching_acyclic(faces, mutant)
