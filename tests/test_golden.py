@@ -1,4 +1,5 @@
-"""Byte-identity guard: ``morsepow all`` reports on a fixed set of ideals
+"""Byte-identity guard: ``morsepow all`` reports on a fixed set of ideals,
+and the per-face ``matching --faces`` records of the running example,
 must match the stored reports in tests/golden/ exactly.
 
 Regenerate the stored reports (only when a report change is intended) with
@@ -27,6 +28,11 @@ CASES = {
     ],
 }
 
+# name -> argv of one ``morsepow matching --faces`` call
+FACE_CASES = {
+    "running_r2_faces": ["--gens", "x*y,y*z,z*u", "-r", "2"],
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_all_report_is_byte_identical(capsys, name):
@@ -35,7 +41,16 @@ def test_all_report_is_byte_identical(capsys, name):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("name", sorted(FACE_CASES))
+def test_face_records_are_byte_identical(capsys, name):
+    assert main(["matching", "--faces", *FACE_CASES[name]]) == 0
+    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
 if __name__ == "__main__":
     for name, argv in CASES.items():
         main(["all", *argv, "--out", str(GOLDEN / f"{name}.json")])
+    for name, argv in FACE_CASES.items():
+        main(["matching", "--faces", *argv, "--out", str(GOLDEN / f"{name}.json")])
     sys.exit(0)
