@@ -1,23 +1,22 @@
 """Anatomy of the acyclic matching on the Taylor complex of I^2.
 
-Every nonempty face is classified locally: critical faces sit inside the
-descent family of their largest vertex; every other face is matched with
-the face that toggles its pivot vertex.  The brute-force verifiers
-confirm the matching is a matching, acyclic, and lcm-homogeneous.
+A face is an int mask over the power generators (bit v = vertex v).
+Every nonempty face is classified locally by its pivot: critical faces
+sit inside the descent family of their largest vertex; every other face
+is matched with the face that toggles its pivot vertex.  The brute-force
+verifiers confirm the matching is a matching, acyclic, and
+lcm-homogeneous.
 """
 
 from morsepow import (
-    CRITICAL,
-    DOWN,
     PowerBasis,
     TaylorMatching,
     format_monomial,
-    is_matching,
+    last_disagreement,
     order_generators,
     parse_generators,
-    verify_matching_acyclic,
-    verify_matching_homogeneous,
 )
+from morsepow.monomials import bit_positions
 
 gens, variables = parse_generators(["x*y", "y*z", "z*u"])
 og = order_generators(gens, variables)
@@ -25,30 +24,33 @@ matching = TaylorMatching(PowerBasis(og, 2))
 basis = matching.basis
 
 
-def show(face):
-    vs = ", ".join(str(basis.vectors[v]) for v in face)
+def show(vertices):
+    vs = ", ".join(str(basis.vectors[v]) for v in vertices)
     return "{" + vs + "}"
 
 
 # classify one face by hand: the face on top of (1,0,1) containing
 # everything colex-below it
-sigma = tuple(
-    basis.index_of[v] for v in [(1, 0, 1), (2, 0, 0), (0, 2, 0), (1, 1, 0)]
+sigma = sum(
+    1 << basis.index_of[v] for v in [(1, 0, 1), (2, 0, 0), (0, 2, 0), (1, 1, 0)]
 )
-sigma = tuple(sorted(sigma))
-st = matching.face_stats(sigma)
-print("face", show(sigma))
-print("  largest vertex:", basis.vectors[st.top])
-print("  level (largest disagreement outside the family):", st.level)
-print("  pivot vertex:", basis.vectors[st.pivot])
-arrow = matching.arrow(sigma)
-print("  matched", arrow.kind, "with", show(arrow.partner))
+top = (sigma & -sigma).bit_length() - 1  # the lowest index is colex-largest
+outside = [v for v in bit_positions(sigma) if v not in basis.family_indices(top)]
+level = max(last_disagreement(basis.vectors[top], basis.vectors[v]) for v in outside)
+p = matching.pivot(sigma)
+print("face", show(bit_positions(sigma)))
+print("  largest vertex:", basis.vectors[top])
+print("  level (largest disagreement outside the family):", level)
+print("  pivot vertex:", basis.vectors[p])
+print("  matched", "down" if sigma >> p & 1 else "up",
+      "with", show(bit_positions(sigma ^ 1 << p)))
 
-# full classification
-classified = matching.enumerate_arrows()
-critical = [f for f, ar in classified if ar.kind == CRITICAL]
-pairs = [(f, ar.partner) for f, ar in classified if ar.kind == DOWN]
-print(f"\n{len(classified)} nonempty faces:"
+# full classification: one pivot per face mask
+classes = matching.classify()
+faces = [f for f, _ in classes.faces()]
+critical = sorted(classes.critical(), key=lambda f: (len(f), f))
+pairs = classes.pairs()
+print(f"\n{len(faces)} nonempty faces:"
       f" {len(critical)} critical, {len(pairs)} matched pairs")
 
 by_dim = {}
@@ -62,6 +64,6 @@ for f in by_dim[2]:
     print(" ", show(f), "->", format_monomial(matching.face_lcm(f), variables))
 
 print("\nverifying the matching properties:")
-print("  is a matching:      ", is_matching(pairs))
-print("  acyclic:            ", verify_matching_acyclic([f for f, _ in classified], pairs))
-print("  lcm-homogeneous:    ", verify_matching_homogeneous(pairs, matching.face_lcm))
+print("  is a matching:      ", classes.is_matching())
+print("  acyclic:            ", classes.acyclic())
+print("  lcm-homogeneous:    ", matching.homogeneous(classes))

@@ -2,8 +2,8 @@
 
 The cell on (0,1,1) with moves at slots 2 and 3 attaches to four edges.
 Two of them are literal subfaces; the other two are reached by gradient
-paths, and the canonical explicit path agrees with brute-force
-enumeration.  The path sum gives the Morse differential, which equals
+paths, found by one search over face masks, and the canonical explicit
+path is among them.  The path sum gives the Morse differential, which equals
 the closed-form cube boundary the build uses, and whose square is zero.
 """
 
@@ -17,6 +17,7 @@ from morsepow import (
     order_generators,
     parse_generators,
 )
+from morsepow.monomials import bit_positions
 
 gens, variables = parse_generators(["x*y", "y*z", "z*u"])
 og = order_generators(gens, variables)
@@ -38,15 +39,14 @@ for sub in morse.closure_facets(cell):
     print(" ", show(morse.cell_face(sub)),
           "->", format_monomial(morse.cell_lcm(sub), variables))
 
-start = tuple(v for v in face if v != basis.index_of[cell.a])
-print("\ngradient paths out of", show(start), "(the facet dropping the top):")
-for target_cell in morse.critical_cells()[1]:
-    target = morse.cell_face(target_cell)
-    paths = morse.paths_bruteforce(start, target)
-    if paths:
-        for p in paths:
-            chain = "  ->  ".join(show(f) for f in p.faces)
-            print(f"  weight {morse.path_weight(p):+d}:  {chain}")
+# the search runs on face masks (bit v = vertex v); drop the top's bit
+start = morse.cell_mask(cell) ^ 1 << basis.index_of[cell.a]
+print("\ngradient paths out of", show(bit_positions(start)),
+      "(the facet dropping the top):")
+for end, paths in sorted(morse.gradient_paths(start, cap=1000).items()):
+    for p in sorted(paths, key=lambda p: p.faces):
+        chain = "  ->  ".join(show(f) for f in p.faces)
+        print(f"  weight {morse.path_weight(p):+d}:  {chain}")
 
 print("\nexplicit path for the move at slot 2 (0-based 1):")
 explicit = morse.explicit_path(cell.a, cell.moves, 1)

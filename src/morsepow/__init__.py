@@ -67,8 +67,6 @@ from .matching import (
     DOWN,
     UP,
     FaceClasses,
-    FaceStats,
-    MatchArrow,
     TaylorMatching,
     is_matching,
     verify_matching_acyclic,

@@ -1,4 +1,4 @@
-"""Simplicial complexes presented by their facets.
+"""Simplicial complexes given by their facets.
 
 Leaf/joint detection, quasi-forest recognition by greedy leaf peeling,
 the complement complex, and the facet complex of a square-free

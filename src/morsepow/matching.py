@@ -1,20 +1,24 @@
 """The homogeneous acyclic matching on the faces of the Taylor complex.
 
-Faces are strictly increasing tuples of vertex indices into a
-PowerBasis, or int masks (bit v = vertex v).  The matching is a pure
-local classifier, ``TaylorMatching.pivot``: every nonempty face is
-critical, matched downward (its pivot vertex is removed) or matched
-upward (its pivot vertex is added), and no global enumeration is needed
-to classify one face.  The brute-force enumerators and verifiers in this
-module exist to check the matching's claimed properties at desk scale.
-They hold the pivots in a list indexed by mask, and check them on int
-bitsets over the masks, one whole-int operation per vertex.
+A face is an int mask over the vertex indices of a PowerBasis (bit v =
+vertex v).  The matching is a pure local classifier,
+``TaylorMatching.pivot``: a nonempty face is critical (UNMATCHED), or
+its partner is the face ``mask ^ 1 << p`` that toggles its pivot vertex
+p, and it is matched downward exactly when ``mask >> p & 1``.  No global
+enumeration is needed to classify one face.  The brute-force
+enumerators and verifiers in this module exist to check the matching's
+claimed properties at desk scale.  They hold the pivots in a list
+indexed by mask, and check them on int bitsets over the masks, one
+whole-int operation per vertex.
+
+Faces become strictly increasing tuples of vertex indices only at the
+report and test boundary: ``face_lcm``, ``face_records`` and
+``FaceClasses.pairs``/``critical``.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
@@ -23,7 +27,7 @@ from typing import NamedTuple
 
 from .errors import EmptyFace, TooLarge, VerificationFailed
 from .monomials import Monomial, bit_positions, format_monomial, unary_codes
-from .powers import NEG_INF, PowerBasis, last_disagreement
+from .powers import PowerBasis, last_disagreement
 
 Face = tuple[int, ...]
 
@@ -38,58 +42,14 @@ ABSENT = -2
 DEFAULT_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
-class FaceStats:
-    """Local invariants of a face: ``top`` is the index of its
-    colex-largest vertex; ``level`` is the largest disagreement between
-    the top vector and a vertex outside its descent family (NEG_INF when
-    every vertex is in the family); ``pivot`` is the index of the top
-    vector's move at the level."""
-
-    top: int
-    level: float
-    pivot: int | None
+def incidence(mask: int, v: int) -> int:
+    """Sign of dropping vertex v from the face mask: (-1) ** position,
+    the position being the number of the face's vertices below v."""
+    return -1 if (mask & ((1 << v) - 1)).bit_count() & 1 else 1
 
 
-@dataclass(frozen=True)
-class MatchArrow:
-    kind: str
-    partner: Face | None
-    pivot: int | None
-
-
-_CRITICAL_ARROW = MatchArrow(CRITICAL, None, None)
-
-
-def face_without(face: Face, v: int) -> Face:
-    """The face dropping its vertex v."""
-    i = face.index(v)
-    return face[:i] + face[i + 1 :]
-
-
-def face_with(face: Face, v: int) -> Face:
-    i = bisect_left(face, v)
-    return face[:i] + (v,) + face[i:]
-
-
-def incidence(face: Face, v: int) -> int:
-    """Sign of dropping vertex v from the face: (-1) ** position."""
-    return -1 if face.index(v) % 2 else 1
-
-
-def _toggled(face: Face, v: int) -> Face:
-    return face_without(face, v) if v in face else face_with(face, v)
-
-
-def _arrow(face: Face, pivot: int) -> MatchArrow:
-    """The arrow a pivot determines: none for UNMATCHED, otherwise to
-    the face that toggles the pivot vertex."""
-    if pivot < 0:
-        return _CRITICAL_ARROW
-    return MatchArrow(DOWN if pivot in face else UP, _toggled(face, pivot), pivot)
-
-
-def _mask(face: Face) -> int:
+def face_mask(face: Face) -> int:
+    """The mask of a tuple face."""
     return sum(1 << v for v in face)
 
 
@@ -170,13 +130,6 @@ class TaylorMatching:
         top, last = self._top_last(mask)
         return UNMATCHED if last == top else self._move_at(top, last)
 
-    def face_stats(self, face: Face) -> FaceStats:
-        top, last = self._top_last(_mask(face))
-        if last == top:
-            return FaceStats(top, NEG_INF, None)
-        level = self._level_at(top, last)
-        return FaceStats(top, level, self.basis.move_index(top, level))
-
     def _top_pivots(self, top: int) -> list[int]:
         """The pivots of the faces whose top vertex is ``top``, indexed
         by the face's vertices above the top as a mask shifted down by
@@ -191,10 +144,6 @@ class TaylorMatching:
             else:
                 out += [self._move_at(top, j)] * len(out)
         return out
-
-    def arrow(self, face: Face) -> MatchArrow:
-        """The arrow of one face, from its ``pivot``."""
-        return _arrow(face, self.pivot(_mask(face)))
 
     # ------------------------------------------------------------------
     # brute-force enumeration and verification
@@ -219,25 +168,13 @@ class TaylorMatching:
         for top in range(n):
             pivot[1 << top :: 1 << (top + 1)] = self._top_pivots(top)
         classes = FaceClasses(n, pivot)
-        f = classes.unmatched_back()
+        f = classes.unmatched_back
         if f is not None:
             partner = f ^ 1 << classes.pivot[f]
             raise VerificationFailed(
                 f"{tuple(bit_positions(partner))} is not matched back to {tuple(bit_positions(f))}"
             )
         return classes
-
-    def enumerate_arrows(self, cap: int = DEFAULT_CAP) -> list[tuple[Face, MatchArrow]]:
-        """Every nonempty face with its arrow, by size and then
-        lexicographically: ``classify`` as a list of (face, arrow)."""
-        return list(self.classify(cap).arrows())
-
-    def matched_pairs(self, cap: int = DEFAULT_CAP) -> list[tuple[Face, Face]]:
-        """The matching as (face, face minus pivot) pairs."""
-        return self.classify(cap).pairs()
-
-    def critical_faces_bruteforce(self, cap: int = DEFAULT_CAP) -> set[Face]:
-        return self.classify(cap).critical()
 
     def homogeneous(self, classes: FaceClasses) -> bool:
         """Matched faces carry the same lcm label.  Labels are the
@@ -269,17 +206,19 @@ class TaylorMatching:
         return out
 
     def face_records(self, classes: FaceClasses):
-        """JSON-ready records of every face of a ``classify`` result."""
-        variables = self.basis.og.variables
-        return [
-            {
+        """JSON-ready records of every face of a ``classify`` result,
+        each face's kind and partner read off its pivot."""
+        variables, pivot = self.basis.og.variables, classes.pivot
+        out = []
+        for face, mask in classes.faces():
+            p = pivot[mask]
+            out.append({
                 "face": list(face),
-                "kind": ar.kind,
-                "partner": None if ar.partner is None else list(ar.partner),
+                "kind": CRITICAL if p == UNMATCHED else DOWN if mask >> p & 1 else UP,
+                "partner": None if p == UNMATCHED else bit_positions(mask ^ 1 << p),
                 "lcm": format_monomial(self.face_lcm(face), variables),
-            }
-            for face, ar in classes.arrows()
-        ]
+            })
+        return out
 
 
 def _faces_at(lanes: list[bytes], code: int) -> int:
@@ -309,11 +248,9 @@ def _holding(v: int, size: int) -> int:
 
 class FaceBits(NamedTuple):
     """The facts of a ``FaceClasses`` as int bitsets over the face
-    masks, bit f for face f: the faces of the family, and per vertex v
-    the masks holding v, the faces matched up at v and the faces matched
-    down at v."""
+    masks, bit f for face f: per vertex v the masks holding v, the faces
+    matched up at v and the faces matched down at v."""
 
-    present: int
     holding: list[int]
     up: list[int]
     down: list[int]
@@ -338,7 +275,6 @@ class FaceClasses:
         size = len(self.pivot)
         codes = struct.pack(f"{size}b", *self.pivot)
         lanes = [codes[k::8] for k in range(8)]
-        present = (1 << size) - 1 ^ _faces_at(lanes, ABSENT & 255)
         holding, up, down = [], [], []
         for v in range(self.n):
             at_v = _faces_at(lanes, v)
@@ -346,22 +282,26 @@ class FaceClasses:
             holding.append(has_v)
             up.append(at_v & ~has_v)
             down.append(at_v & has_v)
-        return FaceBits(present, holding, up, down)
+        return FaceBits(holding, up, down)
 
-    def arrows(self):
-        """(face, arrow) for every face of the family, by size and then
+    def faces(self):
+        """(face, mask) for every face of the family, by size and then
         lexicographically."""
-        pivot = self.pivot
         for k in range(self.n + 1):
             for face in combinations(range(self.n), k):
-                p = pivot[_mask(face)]
-                if p != ABSENT:
-                    yield face, _arrow(face, p)
+                mask = face_mask(face)
+                if self.pivot[mask] != ABSENT:
+                    yield face, mask
 
     def pairs(self) -> list[tuple[Face, Face]]:
         """The (face, face minus pivot) pairs, by the size and then the
         lexicographic order of the larger face."""
-        return [(face, ar.partner) for face, ar in self.arrows() if ar.kind == DOWN]
+        pivot = self.pivot
+        return [
+            (face, tuple(bit_positions(mask ^ 1 << pivot[mask])))
+            for face, mask in self.faces()
+            if pivot[mask] >= 0 and mask >> pivot[mask] & 1
+        ]
 
     def critical(self) -> set[Face]:
         """The faces matched to none."""
@@ -374,10 +314,12 @@ class FaceClasses:
         except ValueError:
             return out
 
+    @cached_property
     def unmatched_back(self) -> int | None:
         """The first matched face whose partner is not matched back to it
         with the same pivot, or None: at each vertex v, the faces matched
-        up must be those matched down, shifted by 2**v."""
+        up must be those matched down, shifted by 2**v.  Made on first
+        use, by ``classify`` for its own results."""
         bits, bad = self.bits, 0
         for v, (up, down) in enumerate(zip(bits.up, bits.down)):
             bad |= up & ~(down >> (1 << v)) | down & ~(up << (1 << v))
@@ -385,13 +327,17 @@ class FaceClasses:
 
     def is_matching(self) -> bool:
         """No face has two partners: the pivots are an involution."""
-        return self.unmatched_back() is None
+        return self.unmatched_back is None
 
     def acyclic(self) -> bool:
         """Kahn's algorithm in whole rounds on the Hasse diagram of the
         family with each matched edge reversed: down edges go from each
         face to its facets in the family, and a matched pair gives the
-        upward edge instead.  A round removes every source of the faces
+        upward edge instead.  No cycle passes through a critical face:
+        a face entered by an up step is matched down and has no edge up,
+        so up and down steps alternate around a cycle, and each face on
+        it is entered or left by its matched edge.  So the rounds run on
+        the matched faces only.  A round removes every source of the faces
         left, all at once.  A face f without vertex v keeps an edge in
         when f + 2**v is left and not matched down at v, and a face f
         with v when f - 2**v is left and matched up at v: one shift of
@@ -399,15 +345,15 @@ class FaceClasses:
         The family is acyclic exactly when nothing is left; a round with
         no source has found a cycle.  A round costs a few int operations
         per vertex over 2**n bits, and there are as many rounds as the
-        longest path has faces: 40 for each 15-vertex basis of q = 3,
-        r = 4, and 55 for the 20 vertices of the q = 4, r = 3 path
-        complement.  Needs ``is_matching``."""
+        longest path of matched faces has faces: 38 for each
+        15-vertex basis of q = 3, r = 4, and 53 for the 20 vertices
+        of the q = 4, r = 3 path complement.  Needs ``is_matching``."""
         bits = self.bits
         edges = [
             (1 << v, has_v ^ down, up)
             for v, (has_v, up, down) in enumerate(zip(bits.holding, bits.up, bits.down))
         ]
-        left = bits.present
+        left = reduce(or_, bits.up + bits.down, 0)
         while left:
             entered = 0
             for shift, falls, rises in edges:

@@ -19,6 +19,10 @@ matching until critical cells are reached, multiplying incidence signs
 ``MorseComplex.differential`` sums the memoized flow, and
 ``MorseComplex.paths_match_closure`` sums ``path_weight`` over the
 enumerated gradient paths and compares the totals with a built complex.
+The walks run on int face masks and ask ``TaylorMatching.pivot`` at
+each face: an up step toggles the pivot in, a down step drops one other
+vertex.  ``cell_face``, ``GradientPath.faces`` and ``paths_bruteforce``
+are the tuple views for reports and tests.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import TooLarge, VerificationFailed
-from .matching import CRITICAL, DOWN, UP, Face, TaylorMatching, face_without, incidence
-from .monomials import Monomial, squarefree_part
+from .matching import UNMATCHED, Face, TaylorMatching, face_mask, incidence
+from .monomials import Monomial, bit_positions, squarefree_part
 from .powers import move_many, move_to_joint, support
 
 
@@ -63,17 +67,22 @@ def closure_facets(cell: CriticalCell, joints) -> list[CriticalCell]:
 
 @dataclass(frozen=True)
 class GradientPath:
-    """An alternating walk: up into the partner of the current face,
-    then down to a facet, ending at a critical face."""
+    """An alternating walk of face masks: up into the partner of the
+    current face, then down to a facet, ending at a critical face."""
 
-    faces: tuple[Face, ...]
+    masks: tuple[int, ...]
+
+    @property
+    def faces(self) -> tuple[Face, ...]:
+        """The walk as vertex tuples."""
+        return tuple(tuple(bit_positions(m)) for m in self.masks)
 
 
 class MorseComplex:
     def __init__(self, matching: TaylorMatching):
         self.matching = matching
         self.basis = matching.basis
-        self._flow_memo: dict[Face, dict[Face, int]] = {}
+        self._flow_memo: dict[int, dict[int, int]] = {}
         og = self.basis.og
         # the shift of dropping move k: x^(F_k - F_joint(k)) when the
         # vector stays, x^(F_joint(k) - F_k) when it moves to its joint
@@ -100,12 +109,16 @@ class MorseComplex:
                     by_dim[k].append(CriticalCell(a, sub))
         return by_dim
 
-    def cell_face(self, cell: CriticalCell) -> Face:
+    def cell_mask(self, cell: CriticalCell) -> int:
+        """The face of the cell as a mask."""
         i = self.basis.index_of[cell.a]
-        verts = {i}
+        mask = 1 << i
         for j in cell.moves:
-            verts.add(self.basis.move_index(i, j))
-        return tuple(sorted(verts))
+            mask |= 1 << self.basis.move_index(i, j)
+        return mask
+
+    def cell_face(self, cell: CriticalCell) -> Face:
+        return tuple(bit_positions(self.cell_mask(cell)))
 
     def cell_lcm(self, cell: CriticalCell) -> Monomial:
         """Label of the cell: the vector's exponents plus one for each
@@ -150,42 +163,42 @@ class MorseComplex:
     # ------------------------------------------------------------------
     # gradient flow and the path-sum differential
 
-    def _flow(self, start: Face) -> dict[Face, int]:
-        """Signed count of gradient paths from ``start`` to each critical
-        face, computed by memoized post-order traversal of the acyclic
-        matched digraph (explicit work stack, no recursion)."""
+    def _flow(self, start: int) -> dict[int, int]:
+        """Signed count of gradient paths from the face mask ``start`` to
+        each critical face mask, computed by memoized post-order
+        traversal of the acyclic matched digraph (explicit work stack,
+        no recursion).  A face matched up at p steps into its partner
+        face | 2**p, and from there down to the partner minus each of
+        the face's own vertices."""
         memo = self._flow_memo
-        arrow = self.matching.arrow
+        pivot = self.matching.pivot
         stack = [start]
         while stack:
             face = stack[-1]
             if face in memo:
                 stack.pop()
                 continue
-            ar = arrow(face)
-            if ar.kind == CRITICAL:
+            p = pivot(face)
+            if p == UNMATCHED:
                 memo[face] = {face: 1}
                 stack.pop()
                 continue
-            if ar.kind == DOWN:
+            if face >> p & 1:
                 memo[face] = {}
                 stack.pop()
                 continue
-            partner = ar.partner
-            subs = [
-                face_without(partner, w) for w in partner if w != ar.pivot
-            ]
+            partner = face | 1 << p
+            ws = bit_positions(face)
+            subs = [partner ^ 1 << w for w in ws]
             pending = [s for s in subs if s not in memo]
             if pending:
                 stack.extend(pending)
                 continue
-            up_sign = -incidence(partner, ar.pivot)
-            total: dict[Face, int] = {}
-            for w in partner:
-                if w == ar.pivot:
-                    continue
+            up_sign = -incidence(partner, p)
+            total: dict[int, int] = {}
+            for w, sub in zip(ws, subs):
                 sgn = up_sign * incidence(partner, w)
-                for end, c in memo[face_without(partner, w)].items():
+                for end, c in memo[sub].items():
                     total[end] = total.get(end, 0) + sgn * c
             memo[face] = {end: c for end, c in total.items() if c}
             stack.pop()
@@ -203,24 +216,27 @@ class MorseComplex:
         A facet matched down, a non-unit coefficient or a flow end
         outside the attached cells raises VerificationFailed.
         """
-        face = self.cell_face(cell)
-        attached: dict[Face, tuple[CriticalCell, Monomial]] = {
-            self.cell_face(sub): (sub, shift)
+        face = self.cell_mask(cell)
+        attached: dict[int, tuple[CriticalCell, Monomial]] = {
+            self.cell_mask(sub): (sub, shift)
             for sub, _, shift in self.cube_boundary(cell)
         }
-        coeffs: dict[Face, int] = {}
-        for v in face:
+        coeffs: dict[int, int] = {}
+        for v in bit_positions(face):
             sgn = incidence(face, v)
-            sub = face_without(face, v)
-            ar = self.matching.arrow(sub)
-            if ar.kind == CRITICAL:
+            sub = face ^ 1 << v
+            p = self.matching.pivot(sub)
+            if p == UNMATCHED:
                 coeffs[sub] = coeffs.get(sub, 0) + sgn
-            elif ar.kind == UP:
+            elif not sub >> p & 1:
                 for end, c in self._flow(sub).items():
                     coeffs[end] = coeffs.get(end, 0) + sgn * c
             else:
                 # a facet of a critical cell is critical or matched up
-                raise VerificationFailed(f"facet {sub} of critical {face} matched down")
+                raise VerificationFailed(
+                    f"facet {tuple(bit_positions(sub))} of critical "
+                    f"{self.cell_face(cell)} matched down"
+                )
         out = []
         for end in sorted(coeffs):
             c = coeffs[end]
@@ -228,12 +244,14 @@ class MorseComplex:
                 continue
             if c not in (1, -1):
                 raise VerificationFailed(
-                    f"non-unit coefficient {c} from {face} to {end}"
+                    f"non-unit coefficient {c} from {self.cell_face(cell)} "
+                    f"to {tuple(bit_positions(end))}"
                 )
             hit = attached.get(end)
             if hit is None:
                 raise VerificationFailed(
-                    f"flow from {cell} ends at {end}, outside its attached cells"
+                    f"flow from {cell} ends at {tuple(bit_positions(end))}, "
+                    "outside its attached cells"
                 )
             out.append((hit[0], c, hit[1]))
         return out
@@ -259,17 +277,14 @@ class MorseComplex:
         s = len(slots)
         e = slots.index(k) + 1
 
-        def vertex(move_set) -> int:
-            return basis.index_of[move_many(a, move_set, joints)]
+        def bit(move_set) -> int:
+            return 1 << basis.index_of[move_many(a, move_set, joints)]
 
-        current = {vertex({j}) for j in slots}
-        faces = [tuple(sorted(current))]
+        masks = [sum(bit({j}) for j in slots)]
 
         def apply(added, removed):
-            current.add(vertex(added))
-            faces.append(tuple(sorted(current)))
-            current.remove(vertex(removed))
-            faces.append(tuple(sorted(current)))
+            masks.append(masks[-1] | bit(added))
+            masks.append(masks[-1] & ~bit(removed))
 
         for i in range(1, e + 1):
             di = slots[i - 1]
@@ -280,82 +295,80 @@ class MorseComplex:
             if i < e:
                 apply({di, slots[e - 1]}, {di})
 
-        path = GradientPath(tuple(faces))
+        path = GradientPath(tuple(masks))
         end_cell = CriticalCell(
             move_to_joint(a, k, joints), tuple(j for j in slots if j != k)
         )
-        if not self.is_valid_path(path) or faces[-1] != self.cell_face(end_cell):
+        if not self.is_valid_path(path) or masks[-1] != self.cell_mask(end_cell):
             raise VerificationFailed(f"explicit path from {a} at slot {k} is broken")
         return path
 
     def is_valid_path(self, path: GradientPath) -> bool:
         """Check the alternating up/down structure: up steps reverse the
         matched arrow of the current face, down steps drop a non-pivot
-        vertex, and only the final face may be critical."""
-        faces = path.faces
-        if len(faces) < 3 or len(faces) % 2 == 0:
+        vertex, and only the final face may be critical (every face an
+        up step leaves is matched up)."""
+        masks, pivot = path.masks, self.matching.pivot
+        if len(masks) < 3 or len(masks) % 2 == 0:
             return False
-        for t in range(0, len(faces) - 1, 2):
-            low, high, nxt = faces[t], faces[t + 1], faces[t + 2]
-            ar = self.matching.arrow(low)
-            if ar.kind != UP or ar.partner != high:
+        for t in range(0, len(masks) - 1, 2):
+            low, high, nxt = masks[t], masks[t + 1], masks[t + 2]
+            p = pivot(low)
+            if p == UNMATCHED or low >> p & 1 or low | 1 << p != high:
                 return False
-            dropped = set(high) - set(nxt)
-            if len(dropped) != 1 or not set(nxt) <= set(high):
+            dropped = high ^ nxt
+            if nxt & ~high or dropped.bit_count() != 1:
                 return False
-            if dropped.pop() == self.matching.arrow(high).pivot:
+            if dropped.bit_length() - 1 == pivot(high):
                 return False
-        for t in range(2, len(faces) - 1, 2):
-            if self.matching.arrow(faces[t]).kind == CRITICAL:
-                return False
-        return self.matching.arrow(faces[-1]).kind == CRITICAL
+        return pivot(masks[-1]) == UNMATCHED
 
     def path_weight(self, path: GradientPath) -> int:
         """Signed weight of a gradient path: the product over its up/down
         steps of the negated incidence of the up step and the incidence
         of the down step.  ``paths_match_closure`` sums it per end."""
-        w = 1
-        for t in range(0, len(path.faces) - 1, 2):
-            low, high, nxt = path.faces[t], path.faces[t + 1], path.faces[t + 2]
-            pivot = (set(high) - set(low)).pop()
-            dropped = (set(high) - set(nxt)).pop()
+        w, masks = 1, path.masks
+        for t in range(0, len(masks) - 1, 2):
+            low, high, nxt = masks[t], masks[t + 1], masks[t + 2]
+            pivot = (high & ~low).bit_length() - 1
+            dropped = (high & ~nxt).bit_length() - 1
             w *= -incidence(high, pivot) * incidence(high, dropped)
         return w
 
-    def gradient_paths(self, start: Face, cap: int) -> dict[Face, list[GradientPath]]:
-        """Every gradient path from ``start``, grouped by the critical
-        face it ends at: one depth-first search that leaves a non-critical
-        face upward and stops at the first critical face reached.  Raises
-        TooLarge after more than ``cap`` steps."""
-        arrow = self.matching.arrow
-        ends: dict[Face, list[GradientPath]] = {}
+    def gradient_paths(self, start: int, cap: int) -> dict[int, list[GradientPath]]:
+        """Every gradient path from the face mask ``start``, grouped by
+        the critical face mask it ends at: one depth-first search that
+        leaves a non-critical face upward and stops at the first critical
+        face reached.  Raises TooLarge after more than ``cap`` steps."""
+        pivot = self.matching.pivot
+        ends: dict[int, list[GradientPath]] = {}
         stack = [(start, (start,))]
         steps = 0
         while stack:
             face, trail = stack.pop()
-            ar = arrow(face)
-            if ar.kind != UP:
+            p = pivot(face)
+            if p == UNMATCHED or face >> p & 1:
                 continue
-            partner = ar.partner
-            for w in sorted(partner, reverse=True):
-                if w == ar.pivot:
-                    continue
+            partner = face | 1 << p
+            # down from the partner, dropping the face's own vertices
+            for w in reversed(bit_positions(face)):
                 steps += 1
                 if steps > cap:
                     raise TooLarge(f"more than {cap} path steps explored", cap=cap)
-                sub = face_without(partner, w)
+                sub = partner ^ 1 << w
                 trail2 = trail + (partner, sub)
-                if arrow(sub).kind == CRITICAL:
+                if pivot(sub) == UNMATCHED:
                     ends.setdefault(sub, []).append(GradientPath(trail2))
                 else:
                     stack.append((sub, trail2))
         return ends
 
     def paths_bruteforce(self, start: Face, end: Face, cap: int = 100000):
-        """Every gradient path from ``start`` to the critical face
-        ``end``, sorted; the ``gradient_paths`` search filtered to one end.
+        """Every gradient path from the tuple face ``start`` to the
+        critical tuple face ``end``, sorted by their faces; the
+        ``gradient_paths`` search filtered to one end.
         """
-        paths = self.gradient_paths(start, cap).get(end, [])
+        paths = self.gradient_paths(face_mask(start), cap).get(face_mask(end), [])
         return sorted(paths, key=lambda p: p.faces)
 
     def paths_match_closure(self, complex, cap: int) -> bool:
@@ -373,39 +386,39 @@ class MorseComplex:
         by_dim = self.critical_cells()
         if complex.basis != by_dim:
             return False
-        columns: dict[CriticalCell, dict[Face, int]] = {}
+        columns: dict[CriticalCell, dict[int, int]] = {}
         for i, entries in complex.maps.items():
             rows, cols = complex.basis[i - 1], complex.basis[i]
             for (row, col), (c, _) in entries.items():
-                columns.setdefault(cols[col], {})[self.cell_face(rows[row])] = c
+                columns.setdefault(cols[col], {})[self.cell_mask(rows[row])] = c
         for cells in by_dim[1:]:
             for cell in cells:
-                face = self.cell_face(cell)
+                face = self.cell_mask(cell)
                 top = top_of[cell.a]
-                start = tuple(v for v in face if v != top)
+                start = face ^ 1 << top
                 closure = self.closure_facets(cell)
-                sums: dict[Face, int] = {}
+                sums: dict[int, int] = {}
                 for sub in closure:
                     if sub.a != cell.a:
                         continue
                     # a literal subface: one vertex fewer, one vertex dropped
-                    sub_face = self.cell_face(sub)
-                    dropped = set(face) - set(sub_face)
-                    if len(dropped) != 1:
+                    sub_face = self.cell_mask(sub)
+                    dropped = face & ~sub_face
+                    if dropped.bit_count() != 1:
                         return False
-                    sums[sub_face] = incidence(face, dropped.pop())
+                    sums[sub_face] = incidence(face, dropped.bit_length() - 1)
                 if cell.dim < 2:
                     # the facet dropping the vector is itself critical
                     sums[start] = incidence(face, top)
                 else:
                     ends = self.gradient_paths(start, cap)
                     # one attached cell on a moved vector per move, in move order
-                    moved = [self.cell_face(sub) for sub in closure if sub.a != cell.a]
+                    moved = [self.cell_mask(sub) for sub in closure if sub.a != cell.a]
                     if set(ends) != set(moved):
                         return False
                     for k, end in zip(cell.moves, moved):
                         explicit = self.explicit_path(cell.a, cell.moves, k)
-                        if explicit.faces not in {p.faces for p in ends[end]}:
+                        if explicit.masks not in {p.masks for p in ends[end]}:
                             return False
                     sign = incidence(face, top)
                     for end, paths in ends.items():

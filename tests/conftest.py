@@ -7,11 +7,14 @@ import pytest
 from hypothesis import strategies as st
 
 from morsepow import (
+    NEG_INF,
     Monomial,
     Variables,
+    last_disagreement,
     order_generators,
     parse_generators,
 )
+from morsepow.matching import UNMATCHED
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -34,6 +37,24 @@ def exact_quotient(m1, m2) -> Monomial:
     for i, e in m2.exps:
         d[i] = d.get(i, 0) - e
     return Monomial.from_dict(d)
+
+
+def face_stats_reference(matching, face):
+    """The top vertex, level and pivot of a nonempty tuple face, read off
+    their definition: the level is the largest last disagreement of the
+    top vector with a vertex outside its descent family (NEG_INF when
+    there is none, and then the pivot is UNMATCHED), and the pivot is
+    the top vector's move at the level.  ``TaylorMatching.pivot`` must
+    agree with it."""
+    basis = matching.basis
+    top = face[0]
+    family = basis.family_indices(top)
+    outside = [v for v in face if v not in family]
+    if not outside:
+        return top, NEG_INF, UNMATCHED
+    a = basis.vectors[top]
+    level = max(last_disagreement(a, basis.vectors[v]) for v in outside)
+    return top, level, basis.move_index(top, level)
 
 
 def ideal(texts, var_names=None):

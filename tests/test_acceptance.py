@@ -7,7 +7,6 @@ from itertools import combinations
 from math import comb
 
 from morsepow import (
-    CRITICAL,
     NEG_INF,
     CriticalCell,
     MorseComplex,
@@ -39,7 +38,8 @@ from morsepow import (
     verify_strand_acyclicity,
     weak_compositions,
 )
-from conftest import ideal, path_complement_ideal
+from morsepow.matching import UNMATCHED, face_mask
+from conftest import face_stats_reference, ideal, path_complement_ideal
 
 
 def timed(bound_seconds):
@@ -113,14 +113,12 @@ def test_criterion_3_bruteforce_matching_verification(running, path4, star3, pai
         matching = TaylorMatching(PowerBasis(og, r))
         assert matching.basis.size <= 16
         faces = matching.all_faces(cap)
-        pairs = matching.matched_pairs(cap)
+        classes = matching.classify(cap)
+        pairs = classes.pairs()
         assert is_matching(pairs)
         assert verify_matching_acyclic(faces, pairs)
         assert verify_matching_homogeneous(pairs, matching.face_lcm)
-        assert (
-            matching.critical_faces_bruteforce(cap)
-            == matching.critical_faces_closed_form()
-        )
+        assert classes.critical() == matching.critical_faces_closed_form()
         check(f"criterion 3 [{label}]")
     print(f"ACCEPTANCE 3 (brute-force matching, {len(instances)} instances): PASS")
 
@@ -303,22 +301,30 @@ def _critical_faces_in_closures(og, r):
             for sub in combinations(closure_vertices, len(cell.moves)):
                 if top in sub:
                     continue
-                if morse.matching.arrow(sub).kind == CRITICAL:
+                if morse.matching.pivot(face_mask(sub)) == UNMATCHED:
                     assert sub in allowed
+
+
+def _monotone_below(matching, f):
+    """No subface of f has a colex-larger top vertex, and one with the
+    same top has no larger level (both read off their definition); the
+    pivot of f agrees with ``TaylorMatching.pivot``."""
+    top, level, pivot = face_stats_reference(matching, f)
+    assert matching.pivot(face_mask(f)) == pivot
+    for k in range(1, len(f) + 1):
+        for sub in combinations(f, k):
+            top2, level2, _ = face_stats_reference(matching, sub)
+            assert top2 >= top
+            if top2 == top:
+                lv1 = -1 if level is NEG_INF else level
+                lv2 = -1 if level2 is NEG_INF else level2
+                assert lv2 <= lv1
 
 
 def _partition_monotonicity(og, r):
     matching = TaylorMatching(PowerBasis(og, r))
     for f in matching.all_faces():
-        st = matching.face_stats(f)
-        for k in range(1, len(f) + 1):
-            for sub in combinations(f, k):
-                st2 = matching.face_stats(sub)
-                assert st2.top >= st.top
-                if st2.top == st.top:
-                    lv1 = -1 if st.level is NEG_INF else st.level
-                    lv2 = -1 if st2.level is NEG_INF else st2.level
-                    assert lv2 <= lv1
+        _monotone_below(matching, f)
 
 
 def test_criterion_9_lemma_suites(running, star3):
@@ -338,13 +344,5 @@ def test_criterion_9_lemma_suites(running, star3):
                 matching = TaylorMatching(basis)
                 for k in (1, 2, 3):
                     for f in combinations(range(basis.size), k):
-                        st = matching.face_stats(f)
-                        for t in range(1, len(f) + 1):
-                            for sub in combinations(f, t):
-                                st2 = matching.face_stats(sub)
-                                assert st2.top >= st.top
-                                if st2.top == st.top:
-                                    lv1 = -1 if st.level is NEG_INF else st.level
-                                    lv2 = -1 if st2.level is NEG_INF else st2.level
-                                    assert lv2 <= lv1
+                        _monotone_below(matching, f)
     print("ACCEPTANCE 9 (exhaustive lemma suites, q<=4, r<=3): PASS")

@@ -8,10 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morsepow import (
-    CRITICAL,
-    DOWN,
     NEG_INF,
-    UP,
     EmptyFace,
     FaceClasses,
     PowerBasis,
@@ -20,13 +17,17 @@ from morsepow import (
     divides,
     format_monomial,
     is_matching,
-    last_disagreement,
     verify_matching_acyclic,
     verify_matching_homogeneous,
 )
-from morsepow.matching import ABSENT, UNMATCHED, face_without
+from morsepow.matching import ABSENT, UNMATCHED, face_mask, incidence
 from morsepow.monomials import bit_positions, unary_codes
-from conftest import FIXED_CASES, LABEL_SHAPES, tree_ideals
+from conftest import FIXED_CASES, LABEL_SHAPES, face_stats_reference, tree_ideals
+
+
+def face_without(face, v):
+    """The tuple face dropping its vertex v."""
+    return tuple(w for w in face if w != v)
 
 
 def vertex_matching(faces, v: int):
@@ -69,51 +70,47 @@ def test_face_lcm(m1, m2, running):
 def test_face_stats_worked_example(m2):
     # the four-vertex face on top of (1,0,1): level 2, pivot (1,1,0)
     sigma = face(m2, (1, 0, 1), (2, 0, 0), (0, 2, 0), (1, 1, 0))
-    st = m2.face_stats(sigma)
-    assert m2.basis.vectors[st.top] == (1, 0, 1)
-    assert st.level == 2
-    assert m2.basis.vectors[st.pivot] == (1, 1, 0)
+    top, level, pivot = face_stats_reference(m2, sigma)
+    assert m2.basis.vectors[top] == (1, 0, 1)
+    assert level == 2
+    assert m2.basis.vectors[pivot] == (1, 1, 0)
+    assert m2.pivot(face_mask(sigma)) == pivot
 
 
 def test_face_stats_family_faces(m2):
-    st = m2.face_stats(face(m2, (1, 0, 1)))
-    assert st.level is NEG_INF and st.pivot is None
-    st = m2.face_stats(face(m2, (1, 0, 1), (1, 1, 0)))
-    assert st.level is NEG_INF
+    for f in (face(m2, (1, 0, 1)), face(m2, (1, 0, 1), (1, 1, 0))):
+        _, level, pivot = face_stats_reference(m2, f)
+        assert level is NEG_INF and pivot == UNMATCHED == m2.pivot(face_mask(f))
 
 
 def test_arrow_examples(m2):
-    down = m2.arrow(face(m2, (1, 0, 1), (2, 0, 0), (0, 2, 0), (1, 1, 0)))
-    assert down.kind == DOWN
-    assert down.partner == face(m2, (1, 0, 1), (2, 0, 0), (0, 2, 0))
-    up = m2.arrow(face(m2, (1, 0, 1), (2, 0, 0), (0, 2, 0)))
-    assert up.kind == UP
-    assert up.partner == face(m2, (1, 0, 1), (2, 0, 0), (0, 2, 0), (1, 1, 0))
-    crit = m2.arrow(face(m2, (1, 0, 1), (1, 1, 0)))
-    assert crit.kind == CRITICAL
+    down = face_mask(face(m2, (1, 0, 1), (2, 0, 0), (0, 2, 0), (1, 1, 0)))
+    up = face_mask(face(m2, (1, 0, 1), (2, 0, 0), (0, 2, 0)))
+    p = m2.pivot(down)
+    assert down >> p & 1 and down ^ 1 << p == up
+    p = m2.pivot(up)
+    assert not up >> p & 1 and up ^ 1 << p == down
+    assert m2.pivot(face_mask(face(m2, (1, 0, 1), (1, 1, 0)))) == UNMATCHED
 
 
 def test_r1_matching_is_one_arrow(m1):
-    pairs = m1.matched_pairs()
+    classes = m1.classify()
+    pairs = classes.pairs()
     assert pairs == [(face(m1, (1, 0, 0), (0, 1, 0), (0, 0, 1)), face(m1, (1, 0, 0), (0, 0, 1)))]
-    crit = m1.critical_faces_bruteforce()
-    assert len(crit) == 5  # three vertices plus the two tree edges
+    assert len(classes.critical()) == 5  # three vertices plus the two tree edges
 
 
 def test_r2_counts(m2):
-    classified = m2.enumerate_arrows()
-    assert len(classified) == 63
-    critical = [f for f, ar in classified if ar.kind == CRITICAL]
-    arrows = [f for f, ar in classified if ar.kind == DOWN]
-    assert len(critical) == 13
-    assert len(arrows) == 25
+    classes = m2.classify()
+    assert len(list(classes.faces())) == 63
+    assert len(classes.critical()) == 13
+    assert len(classes.pairs()) == 25
     assert 13 + 2 * 25 == 63
 
 
 def test_single_generator_all_critical(single):
     matching = TaylorMatching(PowerBasis(single, 3))
-    classified = matching.enumerate_arrows()
-    assert [ar.kind for _, ar in classified] == [CRITICAL]
+    assert matching.classify().pivot == [ABSENT, UNMATCHED]
 
 
 def test_enumeration_cap(m2):
@@ -123,7 +120,7 @@ def test_enumeration_cap(m2):
 
 
 def test_matching_property_and_homogeneity(m2):
-    pairs = m2.matched_pairs()
+    pairs = m2.classify().pairs()
     assert is_matching(pairs)
     assert verify_matching_homogeneous(pairs, m2.face_lcm)
     faces = m2.all_faces()
@@ -131,16 +128,13 @@ def test_matching_property_and_homogeneity(m2):
 
 
 def test_r1_homogeneity_example(m1):
-    (pair,) = m1.matched_pairs()
+    (pair,) = m1.classify().pairs()
     assert m1.face_lcm(pair[0]) == m1.face_lcm(pair[1])
 
 
 def test_critical_closed_form_matches_bruteforce(m1, m2):
     for matching in (m1, m2):
-        assert (
-            matching.critical_faces_bruteforce()
-            == matching.critical_faces_closed_form()
-        )
+        assert matching.classify().critical() == matching.critical_faces_closed_form()
 
 
 def test_empty_matching_is_acyclic_and_homogeneous(m2):
@@ -200,7 +194,7 @@ def test_step3_vertex_matching_has_no_critical_cells(m2):
     group = [
         f
         for f in m2.all_faces()
-        if f and f[0] == top and m2.face_stats(f).level == 2
+        if f and f[0] == top and face_stats_reference(m2, f)[1] == 2
     ]
     assert len(group) == 6
     arrows = vertex_matching(group, pivot)
@@ -214,13 +208,14 @@ def test_cluster_decomposition(m2):
     # vertex matchings
     groups = {}
     for f in m2.all_faces():
-        st = m2.face_stats(f)
-        if st.level is not NEG_INF:
-            groups.setdefault((st.top, st.level, st.pivot), []).append(f)
+        top, level, pivot = face_stats_reference(m2, f)
+        assert pivot == m2.pivot(face_mask(f))
+        if level is not NEG_INF:
+            groups.setdefault((top, level, pivot), []).append(f)
     rebuilt = []
     for (_, _, pivot), faces in sorted(groups.items()):
         rebuilt.extend(vertex_matching(faces, pivot))
-    assert sorted(rebuilt) == sorted(m2.matched_pairs())
+    assert sorted(rebuilt) == sorted(m2.classify().pairs())
 
 
 def down_closed_subsets(m2):
@@ -240,7 +235,7 @@ def down_closed_subsets(m2):
 
 
 def test_matching_restricted_to_down_closed_sets_stays_acyclic(m2):
-    pairs = m2.matched_pairs()
+    pairs = m2.classify().pairs()
     for sub in down_closed_subsets(m2):
         sub_set = set(sub)
         sub_pairs = [p for p in pairs if p[0] in sub_set and p[1] in sub_set]
@@ -251,14 +246,15 @@ def test_partition_monotonicity(m2):
     # within faces sharing a top vertex, subfaces never have a larger
     # level; tops of subfaces are never colex-larger (exhaustive)
     for f in m2.all_faces():
-        st = m2.face_stats(f)
+        top, level, pivot = face_stats_reference(m2, f)
+        assert pivot == m2.pivot(face_mask(f))
         for k in range(1, len(f) + 1):
             for sub in combinations(f, k):
-                st2 = m2.face_stats(sub)
-                assert st2.top >= st.top  # smaller index = colex-larger
-                if st2.top == st.top:
-                    lv1 = -1 if st.level is NEG_INF else st.level
-                    lv2 = -1 if st2.level is NEG_INF else st2.level
+                top2, level2, _ = face_stats_reference(m2, sub)
+                assert top2 >= top  # smaller index = colex-larger
+                if top2 == top:
+                    lv1 = -1 if level is NEG_INF else level
+                    lv2 = -1 if level2 is NEG_INF else level2
                     assert lv2 <= lv1
 
 
@@ -281,7 +277,7 @@ def broken(self, top):
 TaylorMatching._top_pivots = broken
 gens, variables = parse_generators(["x*y", "y*z", "z*u"])
 try:
-    TaylorMatching(PowerBasis(order_generators(gens, variables), 2)).enumerate_arrows()
+    TaylorMatching(PowerBasis(order_generators(gens, variables), 2)).classify()
 except VerificationFailed as exc:
     print(exc)
     raise SystemExit(0)
@@ -404,25 +400,23 @@ def test_homogeneity_negative_control(m2):
 def test_classify_counts_and_records_order(m2):
     classes = m2.classify()
     assert classes.n == 6 and len(classes.pivot) == 64
-    arrows = list(classes.arrows())
-    assert [f for f, _ in arrows] == m2.all_faces()
-    assert all(ar == m2.arrow(f) for f, ar in arrows)
-    assert classes.pairs() == m2.matched_pairs()
+    faces = list(classes.faces())
+    assert [f for f, _ in faces] == m2.all_faces()
+    assert all(mask == face_mask(f) and classes.pivot[mask] == m2.pivot(mask) for f, mask in faces)
+    assert classes.pairs() == [
+        (f, face_without(f, p)) for f, mask in faces
+        if (p := classes.pivot[mask]) >= 0 and mask >> p & 1
+    ]
     assert classes.critical() == m2.critical_faces_closed_form()
 
 
-def face_stats_reference(matching, face):
-    """``face_stats`` read off its definition, one last_disagreement per
-    vertex outside the top vector's descent family."""
-    basis = matching.basis
-    top = face[0]
-    family = basis.family_indices(top)
-    outside = [v for v in face if v not in family]
-    if not outside:
-        return top, NEG_INF, None
-    a = basis.vectors[top]
-    level = max(last_disagreement(a, basis.vectors[v]) for v in outside)
-    return top, level, basis.move_index(top, level)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mask_incidence_is_the_tuple_position_parity(n):
+    # every mask whose highest vertex is n - 1, so all masks below 2**8
+    for mask in range(1 << n - 1, 1 << n):
+        face = tuple(bit_positions(mask))
+        for v in face:
+            assert incidence(mask, v) == (-1) ** face.index(v)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -439,8 +433,10 @@ def test_face_stats_matches_its_definition(case):
         f for k in (1, 2, 3, n - 1, n) for f in combinations(range(n), k)
     ]
     for f in faces:
-        st_ = matching.face_stats(f)
-        assert (st_.top, st_.level, st_.pivot) == face_stats_reference(matching, f)
+        top, _, pivot = face_stats_reference(matching, f)
+        mask = face_mask(f)
+        assert (mask & -mask).bit_length() - 1 == top
+        assert matching.pivot(mask) == pivot
 
 
 def reference_pivot(matching, face) -> int:
@@ -514,7 +510,7 @@ def test_bitset_checks_match_the_per_face_checks(case):
     matching = TaylorMatching(PowerBasis(og, r))
     classes = matching.classify()
     n, pivot = classes.n, classes.pivot
-    assert classes.unmatched_back() is reference_unmatched_back(classes) is None
+    assert classes.unmatched_back is reference_unmatched_back(classes) is None
     assert matching.homogeneous(classes) is reference_homogeneous(matching, classes) is True
     # a vertex and an edge holding it never carry the same label
     edge = 0b11 << n - 2
@@ -535,7 +531,8 @@ def test_bitset_checks_match_the_per_face_checks(case):
         corrupted += [FaceClasses(n, dropped), FaceClasses(n, wrong)]
         assert reference_unmatched_back(corrupted[-1]) is not None
     for bad in corrupted:
-        assert bad.unmatched_back() == reference_unmatched_back(bad)
+        assert bad.unmatched_back == reference_unmatched_back(bad)
+        assert bad.is_matching() is (bad.unmatched_back is None)
         assert matching.homogeneous(bad) == reference_homogeneous(matching, bad)
 
 
@@ -578,13 +575,14 @@ def greedy_acyclic_pivots(n: int, seed: int) -> list[int]:
 def tuple_family(n: int, pivot):
     """The faces and the (face, facet) pairs of a pivot list."""
     classes = FaceClasses(n, pivot)
-    return [f for f, _ in classes.arrows()], classes.pairs()
+    return [f for f, _ in classes.faces()], classes.pairs()
 
 
 def test_rounds_on_a_deep_matching_and_its_cyclic_mutant():
     # the deepest of three random maximal acyclic matchings on 8 vertices
-    # has a path of 85 faces: FaceClasses.acyclic runs 85 rounds, where
-    # the Taylor matching of a 15-vertex basis needs 40
+    # has a path of 85 faces, 68 of them matched: FaceClasses.acyclic
+    # runs 68 rounds, where the Taylor matching of a 15-vertex basis
+    # needs 38
     n = 8
     pivot = max((greedy_acyclic_pivots(n, seed) for seed in range(3)),
                 key=lambda p: reference_depth(*tuple_family(n, p)))

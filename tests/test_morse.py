@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 
 from morsepow import (
-    CRITICAL,
     CriticalCell,
+    GradientPath,
     MorseComplex,
     PowerBasis,
     TaylorMatching,
@@ -23,6 +23,8 @@ from morsepow import (
     support,
     weak_compositions,
 )
+from morsepow.matching import UNMATCHED, face_mask
+from morsepow.monomials import bit_positions
 from conftest import FIXED_CASES, LABEL_SHAPES, tree_ideals
 
 
@@ -70,7 +72,7 @@ def test_critical_cells_equal_bruteforce(morse1, morse2, morse_path4):
         as_faces = {
             morse.cell_face(c) for cells in morse.critical_cells() for c in cells
         }
-        assert as_faces == morse.matching.critical_faces_bruteforce()
+        assert as_faces == morse.matching.classify().critical()
         assert len(as_faces) == sum(fvector(morse))  # one face per cell
 
 
@@ -153,7 +155,7 @@ def test_differential_rejects_flow_end_outside_closure(running, monkeypatch):
     cell = CriticalCell((0, 1, 1), (1, 2))
     assert len(morse.differential(cell)) == 4
     # a vertex is critical but never attached to a 2-cell
-    stray = morse.cell_face(CriticalCell((2, 0, 0), ()))
+    stray = morse.cell_mask(CriticalCell((2, 0, 0), ()))
     monkeypatch.setattr(MorseComplex, "_flow", lambda self, start: {stray: 1})
     with pytest.raises(VerificationFailed, match="outside its attached cells"):
         morse.differential(cell)
@@ -224,6 +226,24 @@ def test_explicit_path_matches_min_and_max_choice(path4):
             path.faces[-1],
         )
         assert path.faces in {p.faces for p in bf}
+
+
+def test_is_valid_path_rejects_broken_walks(morse2):
+    pivot = morse2.matching.pivot
+    path = morse2.explicit_path((0, 1, 1), (1, 2), 1)
+    low, high, end = path.masks
+    assert morse2.is_valid_path(path)
+    # a down step that drops the pivot again, then the valid steps
+    assert not morse2.is_valid_path(GradientPath((low, high, low, high, end)))
+    # an "up step" from a face matched down, then down to a critical facet
+    down, w = next(
+        (f, w)
+        for f in range(1, 1 << morse2.basis.size)
+        if (p := pivot(f)) >= 0 and f >> p & 1
+        for w in bit_positions(f)
+        if w != p and pivot(f ^ 1 << w) == UNMATCHED
+    )
+    assert not morse2.is_valid_path(GradientPath((down, down, down ^ 1 << w)))
 
 
 def test_paths_from_critical_start_are_empty(morse2):
@@ -306,6 +326,7 @@ def test_differential_agrees_with_path_weights(morse2, morse_path4):
         for dim in range(2, len(cells)):
             for cell in cells[dim]:
                 face = morse.cell_face(cell)
+                mask = morse.cell_mask(cell)
                 top = morse.basis.index_of[cell.a]
                 start = tuple(v for v in face if v != top)
                 expected = {}
@@ -316,14 +337,14 @@ def test_differential_agrees_with_path_weights(morse2, morse_path4):
                     for f in {morse.cell_face(c) for c in cells[dim - 1]}
                 }
                 recomputed = dict.fromkeys(direct, 0)
-                sign_start = incidence(face, top)
+                sign_start = incidence(mask, top)
                 for target in direct:
                     for p in morse.paths_bruteforce(start, target):
                         recomputed[target] += sign_start * morse.path_weight(p)
                 for k in cell.moves:
                     drop = morse.basis.move_index(top, k)
                     f = tuple(v for v in face if v != drop)
-                    recomputed[f] += incidence(face, drop)
+                    recomputed[f] += incidence(mask, drop)
                 assert recomputed == direct
 
 
@@ -393,7 +414,7 @@ def test_critical_faces_inside_move_closure(morse2, morse_path4):
                 for sub in combinations(verts, len(cell.moves)):
                     if top in sub:
                         continue
-                    if morse.matching.arrow(sub).kind == CRITICAL:
+                    if morse.matching.pivot(face_mask(sub)) == UNMATCHED:
                         assert sub in allowed
 
 
@@ -455,29 +476,29 @@ def test_gradient_path_oracle_respects_cap(morse_path4, complex_path4):
 def test_paths_bruteforce_filters_the_one_search(morse_path4):
     cells = morse_path4.critical_cells()
     cell = cells[2][0]
-    face = morse_path4.cell_face(cell)
-    start = tuple(v for v in face if v != morse_path4.basis.index_of[cell.a])
+    start = morse_path4.cell_mask(cell) ^ 1 << morse_path4.basis.index_of[cell.a]
     ends = morse_path4.gradient_paths(start, cap=1 << 20)
     assert ends
     for end, paths in ends.items():
-        assert morse_path4.paths_bruteforce(start, end) == sorted(
-            paths, key=lambda p: p.faces
-        )
+        assert morse_path4.paths_bruteforce(
+            tuple(bit_positions(start)), tuple(bit_positions(end))
+        ) == sorted(paths, key=lambda p: p.faces)
 
 
 def test_facet_matched_down_raises(running, monkeypatch):
     # the build no longer reads the matching; the path-sum oracle does
-    from morsepow import DOWN, UP, MatchArrow, VerificationFailed
+    from morsepow import VerificationFailed
 
-    arrow = TaylorMatching.arrow
+    pivot = TaylorMatching.pivot
 
-    def broken(self, face):
-        ar = arrow(self, face)
-        if ar.kind == UP and len(face) == 2:
-            return MatchArrow(DOWN, face[:1], face[1])
-        return ar
+    def broken(self, mask):
+        # an edge matched up is reported matched down at its higher vertex
+        p = pivot(self, mask)
+        if p >= 0 and not mask >> p & 1 and mask.bit_count() == 2:
+            return mask.bit_length() - 1
+        return p
 
-    monkeypatch.setattr(TaylorMatching, "arrow", broken)
+    monkeypatch.setattr(TaylorMatching, "pivot", broken)
     morse = MorseComplex(TaylorMatching(PowerBasis(running, 2)))
     with pytest.raises(VerificationFailed, match="matched down"):
         morse.differential(CriticalCell((0, 1, 1), (1, 2)))

@@ -360,7 +360,7 @@ def test_entry_shifts_are_label_ratios(case):
 
 def test_build_walks_no_gradient_flow(running, monkeypatch):
     # the columns come from the closed-form cube boundary: neither the
-    # matching's arrows nor the flow are consulted
+    # matching's pivots nor the flow are consulted
     from morsepow import MorseComplex, TaylorMatching
 
     expected = build_resolution(None, 3, og=running)
@@ -368,7 +368,7 @@ def test_build_walks_no_gradient_flow(running, monkeypatch):
     def forbidden(*args, **kwargs):
         raise RuntimeError("the build walked the gradient flow")
 
-    monkeypatch.setattr(TaylorMatching, "arrow", forbidden)
+    monkeypatch.setattr(TaylorMatching, "pivot", forbidden)
     monkeypatch.setattr(MorseComplex, "_flow", forbidden)
     complex = build_resolution(None, 3, og=running)
     assert complex.basis == expected.basis
