@@ -49,22 +49,6 @@ class CriticalCell:
         return len(self.moves)
 
 
-def closure_facets(cell: CriticalCell, joints) -> list[CriticalCell]:
-    """The critical cells one dimension down that are attached to the
-    cell in the Morse complex: drop one move, on the vector itself or on
-    its moved copy."""
-    out = []
-    moves = cell.moves
-    for p, k in enumerate(moves):
-        rest = moves[:p] + moves[p + 1:]
-        out.append(CriticalCell(cell.a, rest))
-        out.append(CriticalCell(move_to_joint(cell.a, k, joints), rest))
-    # the two families can never collide: their top vectors differ
-    if len(set(out)) != len(out):
-        raise VerificationFailed(f"attached cells of {cell} collide")
-    return out
-
-
 @dataclass(frozen=True)
 class GradientPath:
     """An alternating walk of face masks: up into the partner of the
@@ -135,8 +119,20 @@ class MorseComplex:
         return Monomial.from_exponents(x)
 
     def closure_facets(self, cell: CriticalCell) -> list[CriticalCell]:
-        """``closure_facets`` with this complex's joints."""
-        return closure_facets(cell, self.basis.og.joints)
+        """The critical cells one dimension down that are attached to the
+        cell in the Morse complex: drop one move, on the vector itself or
+        on its moved copy."""
+        joints = self.basis.og.joints
+        out = []
+        moves = cell.moves
+        for p, k in enumerate(moves):
+            rest = moves[:p] + moves[p + 1:]
+            out.append(CriticalCell(cell.a, rest))
+            out.append(CriticalCell(move_to_joint(cell.a, k, joints), rest))
+        # the two families can never collide: their top vectors differ
+        if len(set(out)) != len(out):
+            raise VerificationFailed(f"attached cells of {cell} collide")
+        return out
 
     def cube_boundary(self, cell: CriticalCell):
         """Boundary of a critical cell in closed form: list of (cell',
@@ -394,8 +390,10 @@ class MorseComplex:
         for cells in by_dim[1:]:
             for cell in cells:
                 face = self.cell_mask(cell)
-                top = top_of[cell.a]
-                start = face ^ 1 << top
+                # the vector is the colex-largest vertex, the lowest set
+                # bit of the mask, so dropping it has incidence +1 and
+                # the path sums from this facet need no sign
+                start = face ^ 1 << top_of[cell.a]
                 closure = self.closure_facets(cell)
                 sums: dict[int, int] = {}
                 for sub in closure:
@@ -409,7 +407,7 @@ class MorseComplex:
                     sums[sub_face] = incidence(face, dropped.bit_length() - 1)
                 if cell.dim < 2:
                     # the facet dropping the vector is itself critical
-                    sums[start] = incidence(face, top)
+                    sums[start] = 1
                 else:
                     ends = self.gradient_paths(start, cap)
                     # one attached cell on a moved vector per move, in move order
@@ -420,9 +418,8 @@ class MorseComplex:
                         explicit = self.explicit_path(cell.a, cell.moves, k)
                         if explicit.masks not in {p.masks for p in ends[end]}:
                             return False
-                    sign = incidence(face, top)
                     for end, paths in ends.items():
-                        sums[end] = sign * sum(map(self.path_weight, paths))
+                        sums[end] = sum(map(self.path_weight, paths))
                 if {f: c for f, c in sums.items() if c} != columns.get(cell, {}):
                     return False
         return True

@@ -2,10 +2,10 @@
 
 The chain complex has one basis element per critical cell, labeled by
 the cell's lcm monomial; differentials carry (integer coefficient,
-monomial shift) entries.  Because every entry's shift is forced by the
-row and column labels, well-formedness and strand acyclicity reduce to
-exact integer linear algebra, done over the rationals or a prime field.
-No floating point is used anywhere.
+monomial shift) entries.  Once every entry's shift is checked to be its
+column label over its row label, well-formedness and strand acyclicity
+reduce to exact integer linear algebra, done over the rationals or a
+prime field.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .monomials import (
     unary_monomial,
     variable_span,
 )
-from .morse import CriticalCell, MorseComplex, closure_facets
+from .morse import CriticalCell, MorseComplex
 from .ordering import OrderedGenerators, order_generators
 from .powers import PowerBasis
 
@@ -156,7 +156,7 @@ def betti_closed_form(q: int, r: int) -> tuple[int, ...]:
 
 
 def pd_formula(q: int, r: int) -> int:
-    """Projective dimension of I**r: q-1 once r reaches q-1, else r."""
+    """Projective dimension of I**r: q-1 once r is at least q-1, else r."""
     if q < 1 or r < 1:
         raise ValueError("need q >= 1 and r >= 1")
     return q - 1 if r >= q - 1 else r
@@ -189,36 +189,44 @@ def pd_sequence(q: int, up_to: int | None = None) -> tuple[int, ...]:
 
 
 def verify_minimality(complex: ChainComplex) -> bool:
-    """Every differential shift is a non-unit monomial, and no attached
-    cell one dimension down shares its label with the cell above."""
-    for entries in complex.maps.values():
-        for _, shift in entries.values():
-            if shift.is_one():
-                return False
-    label_of = {
-        c: m
-        for cells, labels in zip(complex.basis, complex.labels)
-        for c, m in zip(cells, labels)
-    }
-    joints = complex.og.joints
-    # an attached cell missing from the complex fails the check as well
+    """The definition: no nonzero entry of a differential has a unit
+    shift."""
     return not any(
-        label_of.get(sub) in (None, label)
-        for cell, label in label_of.items()
-        for sub in closure_facets(cell, joints)
+        c and shift.is_one() for entries in complex.maps.values() for c, shift in entries.values()
     )
 
 
 def verify_d2(complex: ChainComplex) -> bool:
     """Consecutive differentials compose to zero.
 
-    Shifts are determined by the row/column labels, so the symbolic
+    Every shift is first checked to be the quotient of its column label
+    by its row label (``_labels_respected``); then the symbolic
     composition vanishes exactly when the integer coefficient matrices
     multiply to zero.
     """
-    cols = _columns(complex)
+    return _labels_respected(complex) and _is_complex(_columns(complex))
+
+
+def _labels_respected(complex: ChainComplex) -> bool:
+    """Every stored entry's shift times its row label is its column label.
+
+    Each label and each distinct shift is packed once into an int, one
+    field per variable of ``(2 * e).bit_length()`` bits for the largest
+    exponent e, so adding two exponents never carries into the next
+    field and each product is one integer add."""
+    shifts = {s.exps for es in complex.maps.values() for _, s in es.values()}
+    exps = [m.exps for ms in complex.labels for m in ms] + list(shifts)
+    w = (2 * max((x for e in exps for _, x in e), default=0)).bit_length()
+
+    def pack(exps) -> int:
+        return sum(x << v * w for v, x in exps)
+
+    labels = [[pack(m.exps) for m in ms] for ms in complex.labels]
+    codes = {e: pack(e) for e in shifts}
     return all(
-        _composes_to_zero(col, lower) for lower, upper in zip(cols, cols[1:]) for col in upper
+        codes[s.exps] + labels[i - 1][row] == labels[i][col]
+        for i, entries in complex.maps.items()
+        for (row, col), (_, s) in entries.items()
     )
 
 
@@ -232,16 +240,18 @@ def _columns(complex: ChainComplex) -> list[list[list[tuple[int, int]]]]:
     return cols
 
 
-def _composes_to_zero(col, lower, mids: int = -1, rows: int = -1) -> bool:
-    """The boundary of the boundary ``col`` vanishes, exactly over Z, when
-    only the cells in the bitsets ``mids`` (of ``lower``) and ``rows``
-    (one degree further down) are kept; -1 keeps every cell."""
-    acc: dict[int, int] = {}
-    for mid, c1 in col:
-        for row, c2 in lower[mid] if mids >> mid & 1 else ():
-            if rows >> row & 1:
-                acc[row] = acc.get(row, 0) + c1 * c2
-    return not any(acc.values())
+def _is_complex(cols) -> bool:
+    """Consecutive maps of ``cols`` (laid out as by ``_columns``) compose
+    to zero, exactly over Z: the boundary of each boundary vanishes."""
+    for lower, upper in zip(cols, cols[1:]):
+        for col in upper:
+            acc: dict[int, int] = {}
+            for mid, c1 in col:
+                for row, c2 in lower[mid]:
+                    acc[row] = acc.get(row, 0) + c1 * c2
+            if any(acc.values()):
+                return False
+    return True
 
 
 def _is_prime(n: int) -> bool:
@@ -422,27 +432,17 @@ def _strand_is_acyclic(index, keep, chars) -> dict[int, bool]:
     the cells whose label divides one strand degree) must vanish: the
     verdict over each field in ``chars``.  Degrees are shifted up by one
     for the empty cell, which is always kept.  ``index`` holds, per
-    shifted degree, the boundary columns, their odd entries as bitsets
-    and the cells each column reaches in one and in two steps, and then
-    the verdicts of the exact-over-Z composition checks made so far."""
-    cols, odd, mids, reach, composes = index
+    shifted degree, the boundary columns and their odd entries as
+    bitsets.  The kept cells form a subcomplex (see ``verify_strands``),
+    so only ranks are computed here."""
+    cols, odd = index
     cells = [bit_positions(m) for m in keep]
-    # the restriction must still be a complex, exactly over Z; a column's
-    # verdict depends only on which of the cells it reaches are kept
-    for k in range(2, len(keep)):
-        for j in cells[k]:
-            key = (k, j, mids[k][j] & keep[k - 1], reach[k][j] & keep[k - 2])
-            if key not in composes:
-                composes[key] = _composes_to_zero(cols[k][j], cols[k - 1], *key[2:])
-            if not composes[key]:
-                return dict.fromkeys(chars, False)
 
     def rank(k: int, p: int) -> int:
         # of the restricted map out of shifted degree k
         if p == 2:
-            return _gf2_rank(odd[k][j] & keep[k - 1] for j in cells[k])
-        rows = keep[k - 1]
-        return _rank(([(r, c) for r, c in cols[k][j] if rows >> r & 1] for j in cells[k]), p)
+            return _gf2_rank(odd[k][j] for j in cells[k])
+        return _rank((cols[k][j] for j in cells[k]), p)
 
     def exact(p: int) -> bool:
         # homology vanishes in degree k when dim C_k = rk d_k + rk d_{k+1};
@@ -462,9 +462,19 @@ def verify_strands(complex: ChainComplex, chars=(0, 2)) -> dict[int, bool]:
     """Check every multidegree strand of the resolution is exact over
     each field in ``chars`` (0 means the rationals, otherwise a prime).
     One pass over the strand degrees restricts the complex once for
-    every field, and each field still gets its own exact verdict."""
+    every field, and each field still gets its own exact verdict.
+
+    Every field fails unless each shift is the quotient of its labels
+    and the augmented complex is a complex over Z.  Then each row label
+    divides its column label, so the cells whose labels divide a degree
+    form a subcomplex, and a subcomplex of a complex is one too."""
     for char in chars:
         check_field_char(char)
+    cols = [[[]]] + _columns(complex)
+    for col in cols[1] if len(cols) > 1 else ():
+        col.append((0, 1))  # the augmentation
+    if not (_labels_respected(complex) and _is_complex(cols)):
+        return dict.fromkeys(chars, False)
     n, (w, labels) = variable_span(complex.labels), unary_codes(complex.labels)
     labels = [[0]] + labels  # the empty cell, whose label 1 divides every degree
     # above[k][v*w + x]: the cells of shifted degree k whose exponent of v
@@ -473,16 +483,8 @@ def verify_strands(complex: ChainComplex, chars=(0, 2)) -> dict[int, bool]:
         [sum(1 << j for j, e in enumerate(es) if e >> b & 1) for b in range(n * w)]
         for es in labels
     ]
-    cols = [[[]]] + _columns(complex)
-    for col in cols[1] if len(cols) > 1 else ():
-        col.append((0, 1))  # the augmentation
     odd = [[sum(1 << r for r, c in col if c & 1) for col in cs] for cs in cols]
-    mids = [[sum(1 << r for r, _ in col) for col in cs] for cs in cols]
-    reach = [
-        [reduce(or_, (lower[mid] for mid, _ in col), 0) for col in cs]
-        for cs, lower in zip(cols, [[]] + mids)
-    ]
-    index, mask = (cols, odd, mids, reach, {}), (1 << w) - 1
+    index, mask = (cols, odd), (1 << w) - 1
     verdicts = dict.fromkeys(chars, True)
     for degree in _lcm_closure(labels[1:]):
         pending = [c for c, ok in verdicts.items() if ok]

@@ -148,6 +148,19 @@ def test_d2_negative_control(res2):
     assert not verify_d2(broken)
 
 
+def test_wrong_shift_negative_control(res2):
+    # one shift times a variable, its coefficient kept: the integer
+    # matrices still compose to zero, but the labels are not respected
+    from morsepow import Monomial, mul
+
+    broken = copy.deepcopy(res2)
+    (key, (coeff, shift)), *_ = sorted(broken.maps[2].items())
+    broken.maps[2][key] = (coeff, mul(shift, Monomial.from_dict({0: 1})))
+    assert verify_d2(res2) and verify_strands(res2, (0, 2, 3)) == {0: True, 2: True, 3: True}
+    assert not verify_d2(broken)
+    assert verify_strands(broken, (0, 2, 3)) == {0: False, 2: False, 3: False}
+
+
 def test_strand_acyclicity(res2):
     assert verify_strand_acyclicity(res2, 0)
     assert verify_strand_acyclicity(res2, 2)
@@ -269,7 +282,8 @@ def test_strand_that_is_not_a_complex_fails_every_field(monkeypatch):
     # b - a and d(t) = e_xy + e_xz + e_yz: a complex over Z whose strands
     # are all exact except that the strand x*y drops c, keeps d(e_xy) =
     # a + b, and so is no complex over Z, though its ranks over Q, GF(2)
-    # and GF(3) are those of an exact one
+    # and GF(3) are those of an exact one.  The entry e_xy -> c has no
+    # true shift, since z does not divide x*y, so the label check fails
     import morsepow.resolution as resolution
     from morsepow import ChainComplex, Monomial
 
@@ -278,16 +292,17 @@ def test_strand_that_is_not_a_complex_fails_every_field(monkeypatch):
     xy, xz, yz = (Monomial.from_dict({i: 1, j: 1}) for i, j in ((0, 1), (0, 2), (1, 2)))
     xyz = Monomial.from_dict({0: 1, 1: 1, 2: 1})
     d1 = {(0, 0): 1, (1, 0): 1, (2, 0): -2, (0, 1): -1, (2, 1): 1, (1, 2): -1, (2, 2): 1}
+    # the shift of each entry: its column label over its row label
+    s1 = {(0, 0): y, (1, 0): x, (2, 0): one, (0, 1): z, (2, 1): x, (1, 2): z, (2, 2): y}
     maps = {
-        1: {rc: (c, one) for rc, c in d1.items()},
-        2: {(row, 0): (1, one) for row in range(3)},
+        1: {rc: (c, s1[rc]) for rc, c in d1.items()},
+        2: {(row, 0): (1, s) for row, s in enumerate((z, y, x))},
     }
     complex = ChainComplex(
         None, 1, [[None] * 3, [None] * 3, [None]], [[x, y, z], [xy, xz, yz], [xyz]], maps
     )
-    assert verify_d2(complex)
-    # either order of the strands: the composition check of e_xy in the
-    # strand x*y*z, where it passes, must not decide the strand x*y
+    assert not verify_d2(complex)
+    # either order of the strands: the label check fails before any strand
     closure = resolution._lcm_closure
     for reverse in (False, True):
         monkeypatch.setattr(
@@ -296,11 +311,21 @@ def test_strand_that_is_not_a_complex_fails_every_field(monkeypatch):
         assert verify_strands(complex, (0, 2, 3)) == {0: False, 2: False, 3: False}
     # with b - a restored it is the Koszul complex, exact in every strand
     # (d(t) then needs the alternating signs)
-    maps[1][(0, 0)] = (-1, one)
+    maps[1][(0, 0)] = (-1, y)
     del maps[1][(2, 0)]
-    maps[2][(1, 0)] = (-1, one)
+    maps[2][(1, 0)] = (-1, y)
     assert verify_d2(complex)
     assert verify_strands(complex, (0, 2, 3)) == {0: True, 2: True, 3: True}
+
+
+def test_label_check_does_not_carry_between_variables():
+    # x * x is not y: with one bit per variable field the packed sum of
+    # the exponents 1 + 1 would carry into the field of y
+    from morsepow import ChainComplex, Monomial
+
+    x, y = Monomial.from_dict({0: 1}), Monomial.from_dict({1: 1})
+    complex = ChainComplex(None, 1, [[None], [None]], [[x], [y]], {1: {(0, 0): (1, x)}})
+    assert not verify_d2(complex)
 
 
 @pytest.mark.parametrize("char", [-2, 1, 4, 6, 9, 91, 561])

@@ -13,3 +13,24 @@ def test_no_assert_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert list(SRC.glob("*.py")) and not found, found
+
+
+def test_no_unused_import_in_src():
+    # a name imported into a module and never read there is dead; the
+    # package __init__ imports names only to re-export them, and the
+    # __future__ import of annotations is a compiler directive
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if alias.name != "annotations"
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{n} {name}" for name, n in imported.items() if name not in used]
+    assert not found, found
