@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, cycle
 from math import comb, gcd
 from operator import or_
 
@@ -368,10 +368,10 @@ def strand_degrees(complex: ChainComplex) -> list[Monomial]:
     return sorted(unary_monomial(d, w, n) for d in _lcm_closure(labels))
 
 
-def _taylor_boundary(face, rows):
-    """Boundary column of a Taylor face: the facet dropping position p
-    gets the sign (-1)**p."""
-    col = []
+def _taylor_boundary(face, rows) -> int:
+    """Boundary column of a Taylor face over GF(2): its facet rows as a
+    bitset."""
+    bits = 0
     for p in range(len(face)):
         row = rows.get(face[:p] + face[p + 1 :])
         if row is None:
@@ -379,8 +379,34 @@ def _taylor_boundary(face, rows):
                 f"a facet of the Taylor face {face} is missing from its "
                 "lcm-bounded subcomplex"
             )
-        col.append((row, -1 if p % 2 else 1))
-    return col
+        bits |= 1 << row
+    return bits
+
+
+def _gf2_decides_q(homology) -> bool:
+    """The rank mod 2 of an integer matrix never exceeds its rank over Q,
+    so over a complex over Z, dim H_k(Q) <= dim H_k(GF(2)) in each degree,
+    and both fields give the same Euler characteristic: GF(2) homology
+    nonzero in at most one degree is the Q homology.  Otherwise the two
+    can differ, as at the label x0...x5 of the Stanley-Reisner ideal of
+    the 6-vertex RP^2."""
+    return sum(map(bool, homology)) <= 1
+
+
+def _homology(dims, rank, chars) -> dict[int, list[int]]:
+    """Reduced homology, degree by degree, over each field in ``chars`` of
+    a complex over Z with ``dims[k]`` cells in degree k; ``rank(k, p)`` is
+    the rank over GF(p), or Q at p = 0, of its map out of degree k >= 1.
+    Chars 0 and 2 share one GF(2) pass, and exact rational elimination
+    runs only where ``_gf2_decides_q`` fails.  An odd prime gets its own
+    pass: ranks mod 2 and mod p do not compare."""
+
+    def over(p: int) -> list[int]:
+        ranks = [0] + [rank(k, p) for k in range(1, len(dims))] + [0]
+        return [d - ranks[k] - ranks[k + 1] for k, d in enumerate(dims)]
+
+    gf2 = over(2) if {0, 2} & set(chars) else []
+    return {c: gf2 if c == 2 or c == 0 and _gf2_decides_q(gf2) else over(c) for c in chars}
 
 
 def taylor_betti(generators, char: int = 0) -> dict[tuple[int, Monomial], int]:
@@ -392,8 +418,10 @@ def taylor_betti(generators, char: int = 0) -> dict[tuple[int, Monomial], int]:
     Exponential in the number of generators and fully independent of the
     matching machinery; a desk-scale oracle for cross-checking the Morse
     resolution (and for measuring pd of ideals outside its scope).
-    Ranks are exact over the chosen field: Betti numbers can depend on
-    the characteristic, so no other field stands in for it.
+    Betti numbers can depend on the characteristic; each field gets its
+    exact answer, but over Q it is read off the GF(2) pass at every label
+    m where that is sound (``_gf2_decides_q``), and exact rational
+    elimination runs only at the others.
     """
     check_field_char(char)
     gens = list(generators)
@@ -414,16 +442,21 @@ def taylor_betti(generators, char: int = 0) -> dict[tuple[int, Monomial], int]:
             if not faces:
                 break  # every face of a face below m is below m
             sizes.append(faces)
-        ranks = [0]
-        for k in range(1, len(sizes)):
-            rows = {f: t for t, f in enumerate(sizes[k - 1])}
-            ranks.append(_rank((_taylor_boundary(f, rows) for f in sizes[k]), char))
-        ranks.append(0)
+        rows = [{f: t for t, f in enumerate(faces)} for faces in sizes[:-1]]
+
+        def rank(k: int, p: int) -> int:
+            # of the map out of the faces of k generators.  Their facet rows,
+            # lowest first, drop positions k-1, ..., 0 (``combinations`` is
+            # lexicographic), so signs alternating from the lowest row are
+            # the Taylor signs times the unit (-1)**(k-1)
+            cols = [_taylor_boundary(f, rows[k - 1]) for f in sizes[k]]
+            if p == 2:
+                return _gf2_rank(cols)
+            return _rank((zip(bit_positions(c), cycle((1, -1))) for c in cols), p)
+
         # homological degree i reads the faces of i generators (dimension i-1)
-        for i, faces in enumerate(sizes):
-            h = len(faces) - ranks[i] - ranks[i + 1]
-            if h:
-                out[(i, m)] = h
+        homology = _homology([len(faces) for faces in sizes], rank, (char,))[char]
+        out.update(((i, m), h) for i, h in enumerate(homology) if h)
     return out
 
 
@@ -444,18 +477,10 @@ def _strand_is_acyclic(index, keep, chars) -> dict[int, bool]:
             return _gf2_rank(odd[k][j] for j in cells[k])
         return _rank((cols[k][j] for j in cells[k]), p)
 
-    def exact(p: int) -> bool:
-        # homology vanishes in degree k when dim C_k = rk d_k + rk d_{k+1};
-        # in degree 0, the empty cell, that needs a kept vertex
-        ranks = [0] + [rank(k, p) for k in range(1, len(keep))] + [0]
-        return all(len(c) == ranks[k] + ranks[k + 1] for k, c in enumerate(cells))
-
-    # Over a Z-complex, rk_2 <= rk_Q for every map and rk_Q(d_i) +
-    # rk_Q(d_{i+1}) <= dims[i], so a GF(2)-exact strand is Q-exact too:
-    # chars 0 and 2 share one GF(2) pass, and exact rational elimination
-    # runs only when it fails.
-    gf2 = exact(2) if {0, 2} & set(chars) else None
-    return {c: gf2 if c == 2 else (c == 0 and gf2) or exact(c) for c in chars}
+    # the kept cells form a complex over Z, so the shared rule applies:
+    # chars 0 and 2 share one GF(2) pass (``_homology``)
+    homology = _homology([len(c) for c in cells], rank, chars)
+    return {c: not any(h) for c, h in homology.items()}
 
 
 def verify_strands(complex: ChainComplex, chars=(0, 2)) -> dict[int, bool]:

@@ -3,9 +3,11 @@ import subprocess
 import sys
 
 import pytest
-from conftest import src_env
+from conftest import src_env, tree_ideals
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from morsepow import ParseError
+from morsepow import ParseError, Variables, format_monomial, parse_monomial
 from morsepow.cli import (
     EXIT_NOT_PD_ONE,
     EXIT_OK,
@@ -14,6 +16,7 @@ from morsepow.cli import (
     EXIT_VERIFICATION,
     main,
     parse_ideal,
+    run,
 )
 
 RUNNING_TEXT = "I = (x*y, y*z, z*u); r = 2"
@@ -512,3 +515,28 @@ def test_verify_checks_matching_at_the_default_cap(capsys):
         "critical_cells_match_closed_form",
     ):
         assert checks[name] == "PASS"
+
+
+def named_betti(report) -> dict:
+    """The multigraded Betti numbers of a report, each label named over
+    its variables in sorted order."""
+    variables = Variables(sorted(report["input"]["variables"]))
+    return {
+        (e["i"], format_monomial(parse_monomial(e["m"], variables), variables)): e["count"]
+        for e in report["betti"]["multigraded"]
+    }
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(tree_ideals(), st.data())
+def test_named_betti_numbers_do_not_depend_on_generator_order(case, data):
+    # variables are numbered by first appearance, so permuting the
+    # generators changes the label strings but not the monomials they name
+    og, r = case
+    gens = [format_monomial(g, og.variables) for g in og.generators]
+    outs = [
+        run("all", parse_ideal(json.dumps({"gens": g, "r": r})), cap=64)
+        for g in (gens, data.draw(st.permutations(gens)))
+    ]
+    assert [code for _, code, _ in outs] == [EXIT_OK, EXIT_OK]
+    assert named_betti(outs[0][0]) == named_betti(outs[1][0])

@@ -1,12 +1,15 @@
 """Property tests of the sparse rank kernel and the oracles built on it."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import morsepow.resolution as resolution
 from morsepow import (
+    Monomial,
     PowerBasis,
     VerificationFailed,
     betti,
@@ -92,3 +95,77 @@ def test_taylor_oracle_and_strands_agree_with_morse_on_trees(case):
     assert taylor_betti(monomials, 2) == expected
     assert verify_strand_acyclicity(complex, 0)
     assert verify_strand_acyclicity(complex, 2)
+
+
+def squarefree(*supports) -> list[Monomial]:
+    return [Monomial.from_dict(dict.fromkeys(s, 1)) for s in supports]
+
+
+# the Stanley-Reisner ideal of the 6-vertex RP^2: its ten cubic generators
+# are the triples that are not facets (every pair is an edge)
+RP2_FACETS = {
+    frozenset(f)
+    for f in ((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+              (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5))
+}
+RP2 = squarefree(*(t for t in combinations(range(6), 3) if frozenset(t) not in RP2_FACETS))
+
+
+def totals(tb) -> list[int]:
+    out = [0] * (max(i for i, _ in tb) + 1)
+    for (i, _), c in tb.items():
+        out[i] += c
+    return out
+
+
+def test_rp2_taylor_betti_depends_on_the_field(running, monkeypatch):
+    # by Hochster's formula beta_i at x0...x5 is dim H~_{3-i}(RP^2): 1 for
+    # i = 2, 3 over GF(2) and 0 over Q, so the GF(2) pass, nonzero in two
+    # degrees there, must not stand in for Q
+    top = Monomial.from_dict(dict.fromkeys(range(6), 1))
+    rational = []
+    rank = resolution._rank
+
+    def counted(vectors, char):
+        vectors = list(vectors)
+        if char == 0:
+            rational.append(len(vectors))
+        return rank(vectors, char)
+
+    monkeypatch.setattr(resolution, "_rank", counted)
+    by_field = {c: taylor_betti(RP2, c) for c in (0, 2, 3)}
+    assert totals(by_field[0]) == totals(by_field[3]) == [10, 15, 6]
+    assert totals(by_field[2]) == [10, 15, 7, 1]
+    assert {i: c for (i, m), c in by_field[2].items() if m == top} == {2: 1, 3: 1}
+    assert top not in {m for _, m in by_field[0]}
+    # exact rational elimination ran, starting at x0...x5, the one label
+    # with all ten generators strictly below it
+    assert rational and rational[0] == 10
+    rational.clear()
+    taylor_betti(running.generators, 0)
+    assert rational == []
+
+
+@st.composite
+def squarefree_ideals(draw):
+    """A random minimally generated square-free monomial ideal, of any
+    projective dimension: at most seven generators over at most six
+    variables."""
+    n = draw(st.integers(1, 6))
+    supports = [frozenset(s) for k in range(1, n + 1) for s in combinations(range(n), k)]
+    drawn = draw(st.lists(st.sampled_from(supports), min_size=1, max_size=7, unique=True))
+    return squarefree(*(s for s in drawn if not any(t < s for t in drawn)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(squarefree_ideals())
+# a hollow triangle and a point: at x0*x1*x2*x3, GF(2) homology in two
+# degrees, so exact rational elimination runs there either way
+@example(squarefree((0, 1, 2), (0, 3), (1, 3), (2, 3)))
+# the 6-cycle and a triangle across it: seven generators, 127 faces
+@example(squarefree((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 2, 4)))
+def test_rational_taylor_betti_read_off_gf2_is_exact(gens):
+    shortcut = taylor_betti(gens, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "_gf2_decides_q", lambda homology: False)
+        assert taylor_betti(gens, 0) == shortcut

@@ -277,14 +277,13 @@ def test_non_prime_rejected_before_any_strand(res2, monkeypatch):
     assert checked == []
 
 
-def test_strand_that_is_not_a_complex_fails_every_field(monkeypatch):
+def test_strand_that_is_not_a_complex_fails_every_field():
     # the Koszul complex of (x, y, z) with d(e_xy) = a + b - 2c instead of
     # b - a and d(t) = e_xy + e_xz + e_yz: a complex over Z whose strands
     # are all exact except that the strand x*y drops c, keeps d(e_xy) =
     # a + b, and so is no complex over Z, though its ranks over Q, GF(2)
     # and GF(3) are those of an exact one.  The entry e_xy -> c has no
     # true shift, since z does not divide x*y, so the label check fails
-    import morsepow.resolution as resolution
     from morsepow import ChainComplex, Monomial
 
     one = Monomial(())
@@ -302,13 +301,8 @@ def test_strand_that_is_not_a_complex_fails_every_field(monkeypatch):
         None, 1, [[None] * 3, [None] * 3, [None]], [[x, y, z], [xy, xz, yz], [xyz]], maps
     )
     assert not verify_d2(complex)
-    # either order of the strands: the label check fails before any strand
-    closure = resolution._lcm_closure
-    for reverse in (False, True):
-        monkeypatch.setattr(
-            resolution, "_lcm_closure", lambda ls: sorted(closure(ls), reverse=reverse)
-        )
-        assert verify_strands(complex, (0, 2, 3)) == {0: False, 2: False, 3: False}
+    # the label check fails before any strand is read
+    assert verify_strands(complex, (0, 2, 3)) == {0: False, 2: False, 3: False}
     # with b - a restored it is the Koszul complex, exact in every strand
     # (d(t) then needs the alternating signs)
     maps[1][(0, 0)] = (-1, y)
