@@ -3,8 +3,9 @@
 The cell on (0,1,1) with moves at slots 2 and 3 attaches to four edges.
 Two of them are literal subfaces; the other two are reached by gradient
 paths, found by one search over face masks, and the canonical explicit
-path is among them.  The path sum gives the Morse differential, which equals
-the closed-form cube boundary the build uses, and whose square is zero.
+path is among them.  ``MorseComplex.path_sum`` gives the Morse differential,
+which equals the closed-form cube boundary the build uses, and whose square
+is zero.
 """
 
 from morsepow import (
@@ -13,7 +14,6 @@ from morsepow import (
     PowerBasis,
     TaylorMatching,
     format_monomial,
-    mul,
     order_generators,
     parse_generators,
 )
@@ -52,18 +52,19 @@ print("\nexplicit path for the move at slot 2 (0-based 1):")
 explicit = morse.explicit_path(cell.a, cell.moves, 1)
 print("  " + "  ->  ".join(show(f) for f in explicit.faces))
 
-print("\nMorse differential of the 2-cell:")
-for sub, coeff, shift in morse.differential(cell):
-    print(f"  {coeff:+d} * {format_monomial(shift, variables):4} * "
-          f"{show(morse.cell_face(sub))}")
+print("\npath sum of the 2-cell (literal subfaces and path weights):")
+sums = morse.path_sum(cell, cap=1000)
+for end, coeff in sorted(sums.items()):
+    print(f"  {coeff:+d} * {show(bit_positions(end))}")
 
 print("\nequal to the closed-form cube boundary:",
-      set(morse.differential(cell)) == set(morse.cube_boundary(cell)))
+      sums == {morse.cell_mask(sub): c for sub, c, _ in morse.cube_boundary(cell)})
 
+# every shift is a ratio of labels, so the coefficients alone must cancel
 print("\nboundary of the boundary (must cancel):")
+cells = {morse.cell_mask(c): c for cs in morse.critical_cells() for c in cs}
 total = {}
-for sub, c1, s1 in morse.differential(cell):
-    for subsub, c2, s2 in morse.differential(sub):
-        key = (subsub, mul(s1, s2))
-        total[key] = total.get(key, 0) + c1 * c2
+for sub, c1 in sums.items():
+    for subsub, c2 in morse.path_sum(cells[sub], cap=1000).items():
+        total[subsub] = total.get(subsub, 0) + c1 * c2
 print("  all coefficients zero:", all(v == 0 for v in total.values()))

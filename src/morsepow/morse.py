@@ -16,13 +16,13 @@ The standard discrete-Morse path sum stays as the oracle: walk from each
 facet of a critical cell through alternating up/down steps of the
 matching until critical cells are reached, multiplying incidence signs
 (up steps contribute the negated incidence of the reversed inclusion).
-``MorseComplex.differential`` sums the memoized flow, and
-``MorseComplex.paths_match_closure`` sums ``path_weight`` over the
-enumerated gradient paths and compares the totals with a built complex.
-The walks run on int face masks and ask ``TaylorMatching.pivot`` at
-each face: an up step toggles the pivot in, a down step drops one other
-vertex.  ``cell_face``, ``GradientPath.faces`` and ``paths_bruteforce``
-are the tuple views for reports and tests.
+``MorseComplex.path_sum`` adds the incidence signs of a cell's literal
+subfaces to the ``path_weight`` totals of one ``gradient_paths`` search,
+and ``MorseComplex.paths_match_closure`` compares those sums with a
+built complex.  The search runs on int face masks and asks
+``TaylorMatching.pivot`` at each face: an up step toggles the pivot in,
+a down step drops one other vertex.  ``cell_face`` and
+``GradientPath.faces`` are the tuple views for reports and tests.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import TooLarge, VerificationFailed
-from .matching import UNMATCHED, Face, TaylorMatching, face_mask, incidence
+from .matching import UNMATCHED, Face, TaylorMatching, incidence
 from .monomials import Monomial, bit_positions, squarefree_part
 from .powers import move_many, move_to_joint, support
 
@@ -66,7 +66,6 @@ class MorseComplex:
     def __init__(self, matching: TaylorMatching):
         self.matching = matching
         self.basis = matching.basis
-        self._flow_memo: dict[int, dict[int, int]] = {}
         og = self.basis.og
         # the shift of dropping move k: x^(F_k - F_joint(k)) when the
         # vector stays, x^(F_joint(k) - F_k) when it moves to its joint
@@ -142,8 +141,8 @@ class MorseComplex:
         Dropping the p-th move k gives the cell keeping the vector with
         coefficient -(-1)^p and shift x^(F_k - F_joint(k)), and the cell
         on the moved vector with coefficient (-1)^p and shift
-        x^(F_joint(k) - F_k).  ``differential`` computes the same list
-        from the gradient flow.
+        x^(F_joint(k) - F_k).  ``path_sum`` gives the same coefficients
+        from the gradient paths.
         """
         closure = self.closure_facets(cell)
         out = []
@@ -157,103 +156,7 @@ class MorseComplex:
         return out
 
     # ------------------------------------------------------------------
-    # gradient flow and the path-sum differential
-
-    def _flow(self, start: int) -> dict[int, int]:
-        """Signed count of gradient paths from the face mask ``start`` to
-        each critical face mask, computed by memoized post-order
-        traversal of the acyclic matched digraph (explicit work stack,
-        no recursion).  A face matched up at p steps into its partner
-        face | 2**p, and from there down to the partner minus each of
-        the face's own vertices."""
-        memo = self._flow_memo
-        pivot = self.matching.pivot
-        stack = [start]
-        while stack:
-            face = stack[-1]
-            if face in memo:
-                stack.pop()
-                continue
-            p = pivot(face)
-            if p == UNMATCHED:
-                memo[face] = {face: 1}
-                stack.pop()
-                continue
-            if face >> p & 1:
-                memo[face] = {}
-                stack.pop()
-                continue
-            partner = face | 1 << p
-            ws = bit_positions(face)
-            subs = [partner ^ 1 << w for w in ws]
-            pending = [s for s in subs if s not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            up_sign = -incidence(partner, p)
-            total: dict[int, int] = {}
-            for w, sub in zip(ws, subs):
-                sgn = up_sign * incidence(partner, w)
-                for end, c in memo[sub].items():
-                    total[end] = total.get(end, 0) + sgn * c
-            memo[face] = {end: c for end, c in total.items() if c}
-            stack.pop()
-        return memo[start]
-
-    def differential(self, cell: CriticalCell):
-        """Boundary of a critical cell by the gradient-path sum: list of
-        (cell', coefficient, shift) with unit coefficients and shift =
-        label(cell) / label(cell').
-
-        This is the oracle for ``cube_boundary``, which the build uses.
-        Every cell' is an attached cell that drops one move k, and the
-        shift depends on k alone: x^(F_k - F_joint(k)) when cell' keeps
-        the vector, x^(F_joint(k) - F_k) when it holds the moved vector.
-        A facet matched down, a non-unit coefficient or a flow end
-        outside the attached cells raises VerificationFailed.
-        """
-        face = self.cell_mask(cell)
-        attached: dict[int, tuple[CriticalCell, Monomial]] = {
-            self.cell_mask(sub): (sub, shift)
-            for sub, _, shift in self.cube_boundary(cell)
-        }
-        coeffs: dict[int, int] = {}
-        for v in bit_positions(face):
-            sgn = incidence(face, v)
-            sub = face ^ 1 << v
-            p = self.matching.pivot(sub)
-            if p == UNMATCHED:
-                coeffs[sub] = coeffs.get(sub, 0) + sgn
-            elif not sub >> p & 1:
-                for end, c in self._flow(sub).items():
-                    coeffs[end] = coeffs.get(end, 0) + sgn * c
-            else:
-                # a facet of a critical cell is critical or matched up
-                raise VerificationFailed(
-                    f"facet {tuple(bit_positions(sub))} of critical "
-                    f"{self.cell_face(cell)} matched down"
-                )
-        out = []
-        for end in sorted(coeffs):
-            c = coeffs[end]
-            if c == 0:
-                continue
-            if c not in (1, -1):
-                raise VerificationFailed(
-                    f"non-unit coefficient {c} from {self.cell_face(cell)} "
-                    f"to {tuple(bit_positions(end))}"
-                )
-            hit = attached.get(end)
-            if hit is None:
-                raise VerificationFailed(
-                    f"flow from {cell} ends at {tuple(bit_positions(end))}, "
-                    "outside its attached cells"
-                )
-            out.append((hit[0], c, hit[1]))
-        return out
-
-    # ------------------------------------------------------------------
-    # gradient paths, explicit and brute force
+    # gradient paths and the path-sum differential
 
     def explicit_path(self, a, moves, k) -> GradientPath:
         """The canonical gradient path from the cell's facet that drops
@@ -322,7 +225,7 @@ class MorseComplex:
     def path_weight(self, path: GradientPath) -> int:
         """Signed weight of a gradient path: the product over its up/down
         steps of the negated incidence of the up step and the incidence
-        of the down step.  ``paths_match_closure`` sums it per end."""
+        of the down step.  ``path_sum`` sums it per end."""
         w, masks = 1, path.masks
         for t in range(0, len(masks) - 1, 2):
             low, high, nxt = masks[t], masks[t + 1], masks[t + 2]
@@ -359,26 +262,57 @@ class MorseComplex:
                     stack.append((sub, trail2))
         return ends
 
-    def paths_bruteforce(self, start: Face, end: Face, cap: int = 100000):
-        """Every gradient path from the tuple face ``start`` to the
-        critical tuple face ``end``, sorted by their faces; the
-        ``gradient_paths`` search filtered to one end.
+    def path_sum(self, cell: CriticalCell, cap: int) -> dict[int, int] | None:
+        """The path-sum differential of a critical cell: {end face mask:
+        coefficient}, zeros dropped (empty for a 0-cell), or None when a
+        check fails.
+
+        The attached cells that keep the vector are literal subfaces,
+        each with its incidence sign.  From the facet that drops the
+        vector, one ``gradient_paths`` search (TooLarge beyond ``cap``
+        steps) must end exactly on the attached cells on moved vectors,
+        and the explicit path to each of them must be among the paths
+        found; each end gets the signed ``path_weight`` sum of its paths.
         """
-        paths = self.gradient_paths(face_mask(start), cap).get(face_mask(end), [])
-        return sorted(paths, key=lambda p: p.faces)
+        face = self.cell_mask(cell)
+        # the vector is the colex-largest vertex, the lowest set bit of
+        # the mask, so dropping it has incidence +1 and the path sums from
+        # this facet need no sign
+        start = face ^ 1 << self.basis.index_of[cell.a]
+        closure = self.closure_facets(cell)
+        sums: dict[int, int] = {}
+        for sub in closure:
+            if sub.a != cell.a:
+                continue
+            # a literal subface: one vertex fewer, one vertex dropped
+            sub_face = self.cell_mask(sub)
+            dropped = face & ~sub_face
+            if dropped.bit_count() != 1:
+                return None
+            sums[sub_face] = incidence(face, dropped.bit_length() - 1)
+        if cell.dim == 1:
+            # the facet dropping the vector is itself critical
+            sums[start] = 1
+        elif cell.dim > 1:
+            ends = self.gradient_paths(start, cap)
+            # one attached cell on a moved vector per move, in move order
+            moved = [self.cell_mask(sub) for sub in closure if sub.a != cell.a]
+            if set(ends) != set(moved):
+                return None
+            for k, end in zip(cell.moves, moved):
+                explicit = self.explicit_path(cell.a, cell.moves, k)
+                if explicit.masks not in {p.masks for p in ends[end]}:
+                    return None
+            for end, paths in ends.items():
+                sums[end] = sum(map(self.path_weight, paths))
+        return {f: c for f, c in sums.items() if c}
 
     def paths_match_closure(self, complex, cap: int) -> bool:
         """Gradient-path oracle for ``complex``, a built ``ChainComplex``
-        on this complex's critical cells.  From the facet of each
-        critical cell that drops its vector, the gradient paths end
-        exactly on the attached cells on moved vectors, and the explicit
-        path to each of them is among those paths; the attached cells
-        that keep the vector are literal subfaces.  The incidence sign of
-        each literal subface and the signed ``path_weight`` sums of the
-        paths found give the path-sum differential, which must equal the
-        cell's column in ``complex.maps``.  One search per cell, each
-        bounded by ``cap`` steps (TooLarge beyond it)."""
-        top_of = self.basis.index_of
+        on this complex's critical cells: the ``path_sum`` of each cell
+        of positive dimension passes its checks and equals the cell's
+        column in ``complex.maps``.  One search per cell of dimension two
+        or more, each bounded by ``cap`` steps (TooLarge beyond it)."""
         by_dim = self.critical_cells()
         if complex.basis != by_dim:
             return False
@@ -387,39 +321,8 @@ class MorseComplex:
             rows, cols = complex.basis[i - 1], complex.basis[i]
             for (row, col), (c, _) in entries.items():
                 columns.setdefault(cols[col], {})[self.cell_mask(rows[row])] = c
-        for cells in by_dim[1:]:
-            for cell in cells:
-                face = self.cell_mask(cell)
-                # the vector is the colex-largest vertex, the lowest set
-                # bit of the mask, so dropping it has incidence +1 and
-                # the path sums from this facet need no sign
-                start = face ^ 1 << top_of[cell.a]
-                closure = self.closure_facets(cell)
-                sums: dict[int, int] = {}
-                for sub in closure:
-                    if sub.a != cell.a:
-                        continue
-                    # a literal subface: one vertex fewer, one vertex dropped
-                    sub_face = self.cell_mask(sub)
-                    dropped = face & ~sub_face
-                    if dropped.bit_count() != 1:
-                        return False
-                    sums[sub_face] = incidence(face, dropped.bit_length() - 1)
-                if cell.dim < 2:
-                    # the facet dropping the vector is itself critical
-                    sums[start] = 1
-                else:
-                    ends = self.gradient_paths(start, cap)
-                    # one attached cell on a moved vector per move, in move order
-                    moved = [self.cell_mask(sub) for sub in closure if sub.a != cell.a]
-                    if set(ends) != set(moved):
-                        return False
-                    for k, end in zip(cell.moves, moved):
-                        explicit = self.explicit_path(cell.a, cell.moves, k)
-                        if explicit.masks not in {p.masks for p in ends[end]}:
-                            return False
-                    for end, paths in ends.items():
-                        sums[end] = sum(map(self.path_weight, paths))
-                if {f: c for f, c in sums.items() if c} != columns.get(cell, {}):
-                    return False
-        return True
+        return all(
+            self.path_sum(cell, cap) == columns.get(cell, {})
+            for cells in by_dim[1:]
+            for cell in cells
+        )

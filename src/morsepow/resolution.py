@@ -75,8 +75,9 @@ def build_resolution(
 
     Each column of the differential is the closed-form cube boundary
     of its cell (``MorseComplex.cube_boundary``); the build walks no
-    gradient flow.  The flow and its path sums are the oracle that
-    ``MorseComplex.paths_match_closure`` compares with these maps.
+    gradient paths.  Their sums, ``MorseComplex.path_sum``, are the
+    oracle that ``MorseComplex.paths_match_closure`` compares with these
+    maps.
     """
     if r < 1:
         raise ValueError("the power r must be at least 1")
@@ -302,14 +303,12 @@ def _rank(vectors, char: int) -> int:
     indices.
 
     The vectors are reduced one at a time against the pivot rows kept so
-    far, each pivot row owning its leading index.  Over GF(2) a vector is
-    an int bitset (``_gf2_rank``).  Over GF(p) it is an
-    {index: residue} dict with pivot rows scaled to a leading 1.  Over Q
-    it is an {index: int} dict reduced fraction-free, with the gcd of its
-    entries divided out after every step, so no fractions appear.
+    far, each pivot row owning its leading index.  Over GF(p) a vector is
+    an {index: residue} dict with pivot rows scaled to a leading 1.  Over
+    Q it is an {index: int} dict reduced fraction-free, with the gcd of
+    its entries divided out after every step, so no fractions appear.
+    Over GF(2) the oracles call ``_gf2_rank`` on int bitsets instead.
     """
-    if char == 2:
-        return _gf2_rank(sum(1 << k for k, x in vec if x & 1) for vec in vectors)
     pivots: dict = {}
     for vec in vectors:
         row = {k: x % char if char else x for k, x in vec}

@@ -1,6 +1,7 @@
 import os
 import pathlib
 import warnings
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -105,6 +106,21 @@ def tree_ideals(draw, shapes=TAYLOR_SHAPES):
     if joints != list(og.joints):
         og = ordered(gens, variables, joints)
     return og, r
+
+
+@st.composite
+def squarefree_ideals(draw, max_gens):
+    """A random minimally generated square-free monomial ideal, of any
+    projective dimension: at most ``max_gens`` generators over at most
+    six variables, maybe some unused.  Returns the generators and the
+    variables."""
+    n = draw(st.integers(1, 6))
+    supports = [frozenset(s) for k in range(1, n + 1) for s in combinations(range(n), k)]
+    drawn = draw(st.lists(st.sampled_from(supports), min_size=1, max_size=max_gens, unique=True))
+    # keep the minimal supports, so that no generator divides another
+    minimal = [s for s in drawn if not any(t < s for t in drawn)]
+    gens = [Monomial.from_dict(dict.fromkeys(s, 1)) for s in minimal]
+    return gens, Variables([f"x_{v}" for v in range(n)])
 
 
 # fixed cases for the label and shift properties: the running example,

@@ -142,12 +142,11 @@ def test_criterion_4_gradient_path_oracle(running, path4):
                     for sub in moved:
                         assert set(morse.cell_face(sub)) <= set(face)
                     continue
-                start = tuple(
-                    v for v in face if v != morse.basis.index_of[cell.a]
-                )
+                start = morse.cell_mask(cell) ^ 1 << morse.basis.index_of[cell.a]
+                ends = morse.gradient_paths(start, 1 << 20)
                 expected = {morse.cell_face(s) for s in moved}
                 for target in lower_faces:
-                    paths = morse.paths_bruteforce(start, target)
+                    paths = ends.get(face_mask(target), [])
                     assert bool(paths) == (target in expected)
                 # the explicit path is among the enumerated ones
                 for k in cell.moves:
@@ -156,8 +155,8 @@ def test_criterion_4_gradient_path_oracle(running, path4):
                         tuple(j for j in cell.moves if j != k),
                     )
                     explicit = morse.explicit_path(cell.a, cell.moves, k)
-                    found = morse.paths_bruteforce(start, morse.cell_face(end))
-                    assert explicit.faces in {p.faces for p in found}
+                    found = ends.get(morse.cell_mask(end), [])
+                    assert explicit.masks in {p.masks for p in found}
     elapsed = check("criterion 4")
     print(f"ACCEPTANCE 4 (gradient-path oracle): PASS [{elapsed:.3f}s]")
 

@@ -1,5 +1,6 @@
 """Each script in demos/ runs to completion against the library in src/,
-so a change to an API a demo calls cannot break it unseen."""
+and none of its printed self-checks reads False, so a change to an API a
+demo calls cannot break it unseen."""
 
 import subprocess
 import sys
@@ -20,3 +21,6 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], capture_output=True, text=True, env=src_env(), cwd=ROOT
     )
     assert proc.returncode == 0, proc.stderr
+    # a demo prints its self-checks as lines ending in True or False
+    failed = [line for line in proc.stdout.splitlines() if line.rstrip().endswith("False")]
+    assert not failed, failed

@@ -12,7 +12,6 @@ from morsepow import (
     MorseComplex,
     PowerBasis,
     TaylorMatching,
-    VerificationFailed,
     build_resolution,
     colex_key,
     format_monomial,
@@ -25,7 +24,9 @@ from morsepow import (
 )
 from morsepow.matching import UNMATCHED, face_mask
 from morsepow.monomials import bit_positions
-from conftest import FIXED_CASES, LABEL_SHAPES, tree_ideals
+from conftest import FIXED_CASES, LABEL_SHAPES, exact_quotient, tree_ideals
+
+CAP = 1 << 20
 
 
 @pytest.fixture(scope="module")
@@ -135,30 +136,42 @@ def test_cell_lcm_matches_face_lcm_everywhere(case):
 @example(FIXED_CASES[1])
 @example(FIXED_CASES[2])
 @example(FIXED_CASES[3])
-def test_flow_differential_equals_built_columns(case):
-    # the gradient-flow path sum against the closed-form cube boundary
-    # that the build emits: same cells, coefficients and shifts per column
+def test_path_sum_equals_built_columns(case):
+    # the gradient-path sum against the closed-form cube boundary that
+    # the build emits: same cells and coefficients per column, and each
+    # shift the ratio of the cell's label to the lcm of the end face
     og, r = case
     complex = build_resolution(None, r, og=og)
     morse = MorseComplex(TaylorMatching(PowerBasis(og, r)))
     for i in range(1, len(complex.basis)):
         columns = {}
-        for (row, col), entry in complex.maps[i].items():
-            columns.setdefault(col, {})[complex.basis[i - 1][row]] = entry
+        for (row, col), (c, shift) in complex.maps[i].items():
+            sub = complex.basis[i - 1][row]
+            columns.setdefault(col, {})[morse.cell_mask(sub)] = c
+            label = morse.cell_lcm(complex.basis[i][col])
+            assert shift == exact_quotient(label, morse.matching.face_lcm(morse.cell_face(sub)))
         for col, cell in enumerate(complex.basis[i]):
-            flow = {sub: (c, shift) for sub, c, shift in morse.differential(cell)}
-            assert flow == columns[col]
+            assert morse.path_sum(cell, CAP) == columns[col]
 
 
-def test_differential_rejects_flow_end_outside_closure(running, monkeypatch):
+def test_oracle_rejects_path_end_outside_closure(running, monkeypatch):
     morse = MorseComplex(TaylorMatching(PowerBasis(running, 2)))
+    complex = build_resolution(None, 2, og=running)
     cell = CriticalCell((0, 1, 1), (1, 2))
-    assert len(morse.differential(cell)) == 4
+    assert len(morse.path_sum(cell, CAP)) == 4
+    assert morse.paths_match_closure(complex, CAP)
     # a vertex is critical but never attached to a 2-cell
     stray = morse.cell_mask(CriticalCell((2, 0, 0), ()))
-    monkeypatch.setattr(MorseComplex, "_flow", lambda self, start: {stray: 1})
-    with pytest.raises(VerificationFailed, match="outside its attached cells"):
-        morse.differential(cell)
+    search = MorseComplex.gradient_paths
+
+    def with_stray_end(self, start, cap):
+        ends = search(self, start, cap)
+        ends[stray] = [GradientPath((start, start | stray, stray))]
+        return ends
+
+    monkeypatch.setattr(MorseComplex, "gradient_paths", with_stray_end)
+    assert morse.path_sum(cell, CAP) is None
+    assert not morse.paths_match_closure(complex, CAP)
 
 
 def test_closure_facets_of_two_cell(morse2):
@@ -216,16 +229,9 @@ def test_explicit_path_matches_min_and_max_choice(path4):
     for k in (1, 2, 3):
         path = morse.explicit_path(cell.a, cell.moves, k)
         assert morse.is_valid_path(path)
-        bf = morse.paths_bruteforce(
-            tuple(
-                sorted(
-                    morse.basis.move_index(morse.basis.index_of[cell.a], j)
-                    for j in cell.moves
-                )
-            ),
-            path.faces[-1],
-        )
-        assert path.faces in {p.faces for p in bf}
+        start = morse.cell_mask(cell) ^ 1 << morse.basis.index_of[cell.a]
+        found = morse.gradient_paths(start, CAP).get(path.masks[-1], [])
+        assert path.masks in {p.masks for p in found}
 
 
 def test_is_valid_path_rejects_broken_walks(morse2):
@@ -247,30 +253,25 @@ def test_is_valid_path_rejects_broken_walks(morse2):
 
 
 def test_paths_from_critical_start_are_empty(morse2):
-    start = morse2.cell_face(CriticalCell((1, 0, 1), (2,)))
-    anywhere = morse2.cell_face(CriticalCell((1, 1, 0), (1,)))
-    assert morse2.paths_bruteforce(start, anywhere) == []
+    start = morse2.cell_mask(CriticalCell((1, 0, 1), (2,)))
+    assert morse2.gradient_paths(start, CAP) == {}
 
 
 def test_paths_reach_exactly_the_attached_cells(morse2, morse_path4):
     for morse in (morse2, morse_path4):
         cells = morse.critical_cells()
         for dim in range(2, len(cells)):
-            lower_faces = {morse.cell_face(c) for c in cells[dim - 1]}
+            lower_faces = {morse.cell_mask(c) for c in cells[dim - 1]}
             for cell in cells[dim]:
-                start = tuple(
-                    sorted(
-                        morse.basis.move_index(morse.basis.index_of[cell.a], j)
-                        for j in cell.moves
-                    )
-                )
+                start = morse.cell_mask(cell) ^ 1 << morse.basis.index_of[cell.a]
                 expected = {
-                    morse.cell_face(sub)
+                    morse.cell_mask(sub)
                     for sub in morse.closure_facets(cell)
                     if sub.a != cell.a
                 }
+                ends = morse.gradient_paths(start, CAP)
                 for target in lower_faces:
-                    paths = morse.paths_bruteforce(start, target)
+                    paths = ends.get(target, [])
                     assert bool(paths) == (target in expected)
                     for p in paths:
                         assert morse.is_valid_path(p)
@@ -283,68 +284,66 @@ def test_differential_of_edge(morse1, running):
     # the tree edge {xy, yz}: boundary hits both endpoints with opposite
     # signs and shifts z and x
     cell = CriticalCell((0, 1, 0), (1,))
-    out = morse1.differential(cell)
-    named = {
-        format_monomial(morse1.basis.og.power_monomial(c.a), running.variables): (
-            coeff,
-            format_monomial(shift, running.variables),
-        )
-        for c, coeff, shift in out
-    }
+    label = morse1.cell_lcm(cell)
+    named = {}
+    for end, coeff in morse1.path_sum(cell, CAP).items():
+        (v,) = bit_positions(end)
+        end_label = morse1.matching.face_lcm((v,))
+        name = format_monomial(end_label, running.variables)
+        shift = format_monomial(exact_quotient(label, end_label), running.variables)
+        named[name] = (coeff, shift)
     assert named == {"x*y": (1, "z"), "y*z": (-1, "x")}
 
 
 def test_differential_signs_sum_to_zero(morse2):
-    # boundary of the boundary of the single 2-cell vanishes with shifts
+    # boundary of the boundary of the single 2-cell vanishes; every shift
+    # is the ratio of two labels, so it is fixed by the end alone
+    cells = {morse2.cell_mask(c): c for cs in morse2.critical_cells() for c in cs}
     cell = CriticalCell((0, 1, 1), (1, 2))
     total = {}
-    for sub, c1, shift1 in morse2.differential(cell):
-        for subsub, c2, shift2 in morse2.differential(sub):
-            from morsepow import mul
-
-            key = (subsub, mul(shift1, shift2))
-            total[key] = total.get(key, 0) + c1 * c2
-    assert all(v == 0 for v in total.values())
+    for sub, c1 in morse2.path_sum(cell, CAP).items():
+        for subsub, c2 in morse2.path_sum(cells[sub], CAP).items():
+            total[subsub] = total.get(subsub, 0) + c1 * c2
+    assert total and all(v == 0 for v in total.values())
 
 
 def test_differential_coefficients_are_units(morse2, morse_path4):
     for morse in (morse2, morse_path4):
         for cells in morse.critical_cells()[1:]:
             for cell in cells:
-                for _, coeff, shift in morse.differential(cell):
+                label = morse.cell_lcm(cell)
+                for end, coeff in morse.path_sum(cell, CAP).items():
                     assert coeff in (1, -1)
-                    assert not shift.is_one()
+                    # a non-unit shift: the end's label is strictly smaller
+                    assert morse.matching.face_lcm(tuple(bit_positions(end))) != label
 
 
 def test_differential_agrees_with_path_weights(morse2, morse_path4):
-    # recompute each coefficient by enumerating gradient paths and
-    # multiplying step signs; compare with the memoized flow
+    # recompute each coefficient per target by filtering the gradient
+    # paths to it and multiplying step signs; compare with path_sum
     from morsepow.matching import incidence
 
     for morse in (morse2, morse_path4):
         cells = morse.critical_cells()
         for dim in range(2, len(cells)):
             for cell in cells[dim]:
-                face = morse.cell_face(cell)
                 mask = morse.cell_mask(cell)
                 top = morse.basis.index_of[cell.a]
-                start = tuple(v for v in face if v != top)
-                expected = {}
-                for sub, coeff, _ in morse.differential(cell):
-                    expected[morse.cell_face(sub)] = coeff
+                start = mask ^ 1 << top
+                expected = morse.path_sum(cell, CAP)
                 direct = {
                     f: expected.get(f, 0)
-                    for f in {morse.cell_face(c) for c in cells[dim - 1]}
+                    for f in {morse.cell_mask(c) for c in cells[dim - 1]}
                 }
                 recomputed = dict.fromkeys(direct, 0)
                 sign_start = incidence(mask, top)
+                ends = morse.gradient_paths(start, CAP)
                 for target in direct:
-                    for p in morse.paths_bruteforce(start, target):
+                    for p in ends.get(target, []):
                         recomputed[target] += sign_start * morse.path_weight(p)
                 for k in cell.moves:
                     drop = morse.basis.move_index(top, k)
-                    f = tuple(v for v in face if v != drop)
-                    recomputed[f] += incidence(mask, drop)
+                    recomputed[mask ^ 1 << drop] += incidence(mask, drop)
                 assert recomputed == direct
 
 
@@ -473,22 +472,9 @@ def test_gradient_path_oracle_respects_cap(morse_path4, complex_path4):
         morse_path4.paths_match_closure(complex_path4, cap=1)
 
 
-def test_paths_bruteforce_filters_the_one_search(morse_path4):
-    cells = morse_path4.critical_cells()
-    cell = cells[2][0]
-    start = morse_path4.cell_mask(cell) ^ 1 << morse_path4.basis.index_of[cell.a]
-    ends = morse_path4.gradient_paths(start, cap=1 << 20)
-    assert ends
-    for end, paths in ends.items():
-        assert morse_path4.paths_bruteforce(
-            tuple(bit_positions(start)), tuple(bit_positions(end))
-        ) == sorted(paths, key=lambda p: p.faces)
-
-
-def test_facet_matched_down_raises(running, monkeypatch):
+def test_facet_matched_down_fails_oracle(running, monkeypatch):
     # the build no longer reads the matching; the path-sum oracle does
-    from morsepow import VerificationFailed
-
+    complex = build_resolution(None, 2, og=running)
     pivot = TaylorMatching.pivot
 
     def broken(self, mask):
@@ -500,5 +486,5 @@ def test_facet_matched_down_raises(running, monkeypatch):
 
     monkeypatch.setattr(TaylorMatching, "pivot", broken)
     morse = MorseComplex(TaylorMatching(PowerBasis(running, 2)))
-    with pytest.raises(VerificationFailed, match="matched down"):
-        morse.differential(CriticalCell((0, 1, 1), (1, 2)))
+    assert morse.path_sum(CriticalCell((0, 1, 1), (1, 2)), CAP) is None
+    assert not morse.paths_match_closure(complex, CAP)

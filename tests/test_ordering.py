@@ -1,5 +1,4 @@
 import warnings
-from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +18,7 @@ from morsepow import (
     resolution_tree,
     taylor_betti,
 )
-from conftest import ideal, path_complement_ideal
+from conftest import ideal, path_complement_ideal, squarefree_ideals
 
 
 def fmt(og, monomial):
@@ -231,21 +230,8 @@ def test_pd1_exactly_on_forest_graphs(case):
         assert og.joints[i] == valid[0]
 
 
-@st.composite
-def squarefree_ideals(draw):
-    """A random minimally generated square-free monomial ideal: at most
-    six generators over at most six variables, maybe some unused."""
-    n = draw(st.integers(1, 6))
-    supports = [frozenset(s) for k in range(1, n + 1) for s in combinations(range(n), k)]
-    drawn = draw(st.lists(st.sampled_from(supports), min_size=1, max_size=6, unique=True))
-    # keep the minimal supports, so that no generator divides another
-    minimal = [s for s in drawn if not any(t < s for t in drawn)]
-    gens = [Monomial.from_dict(dict.fromkeys(s, 1)) for s in minimal]
-    return gens, Variables([f"x_{v}" for v in range(n)])
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(squarefree_ideals())
+@given(squarefree_ideals(max_gens=6))
 @example(ideal(["x", "y", "z"]))  # the Koszul complex: pd 2
 @example(ideal(["x*y", "y*z", "z*u"]))
 def test_pd1_exactly_when_taylor_betti_measures_it(case):

@@ -379,16 +379,16 @@ def test_entry_shifts_are_label_ratios(case):
 
 def test_build_walks_no_gradient_flow(running, monkeypatch):
     # the columns come from the closed-form cube boundary: neither the
-    # matching's pivots nor the flow are consulted
+    # matching's pivots nor the gradient-path search are consulted
     from morsepow import MorseComplex, TaylorMatching
 
     expected = build_resolution(None, 3, og=running)
 
     def forbidden(*args, **kwargs):
-        raise RuntimeError("the build walked the gradient flow")
+        raise RuntimeError("the build walked gradient paths")
 
     monkeypatch.setattr(TaylorMatching, "pivot", forbidden)
-    monkeypatch.setattr(MorseComplex, "_flow", forbidden)
+    monkeypatch.setattr(MorseComplex, "gradient_paths", forbidden)
     complex = build_resolution(None, 3, og=running)
     assert complex.basis == expected.basis
     assert complex.labels == expected.labels
